@@ -119,6 +119,36 @@ if [[ "${1:-}" == "faults" ]]; then
   exit 0
 fi
 
+# `./ci.sh pins` gates the benchmark package under perfbench/ (its own
+# cargo workspace over the program's public API): perfbench's tests, then
+# every output digest `perfbench --pin` prints for the default seed (the
+# 2B2S grid, the sampled memory-bound replicas and the served hot-set
+# catalog) must appear verbatim in perfbench/pins.txt. A change to any
+# output the benchmark pins fails here instead of in a timed run.
+if [[ "${1:-}" == "pins" ]]; then
+  echo "==> pins gate: perfbench tests + output digests vs perfbench/pins.txt"
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  bench=perfbench/target/release/perfbench
+  out=target/ci-pins
+  rm -rf "$out"
+  mkdir -p "$out"
+  for w in grid-2b2s sampled-membound; do
+    "$bench" --pin --workload "$w" --seeds 2017 >"$out/$w.txt"
+  done
+  "$bench" --pin --workload serve-hotcold >"$out/serve-hotcold.txt"
+  for f in "$out"/*.txt; do
+    w=$(basename "$f" .txt)
+    [[ -s "$f" ]] || { echo "    $w printed no pin lines"; exit 1; }
+    if grep -vxF -f perfbench/pins.txt "$f"; then
+      echo "    the $w lines above are not in perfbench/pins.txt"
+      exit 1
+    fi
+  done
+  echo "==> pins gate: passed ($(cat "$out"/*.txt | wc -l) digests found in perfbench/pins.txt)"
+  exit 0
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -229,5 +259,8 @@ echo "    cold ${cold_ms}ms -> warm ${warm_ms}ms; fig*.json byte-identical (warm
 
 echo "==> serve smoke gate: daemon + loadgen + byte-identity"
 "$0" serve
+
+echo "==> benchmark pins gate: perfbench tests + pinned digests"
+"$0" pins
 
 echo "==> ci.sh: all checks passed"

@@ -44,8 +44,8 @@ fn main() {
         let mut core = Core::new(cfg, PrivateCacheConfig::default());
         let mut shared = SharedMem::new(SharedMemConfig::default());
         let mut src = TraceGenerator::new(p.clone(), 1, 0);
-        let (base, span) = src.address_span();
-        shared.warm_region(base + span.saturating_sub(32 << 20), span.min(32 << 20));
+        let (base, bytes) = src.l3_warm_span();
+        shared.warm_region(base, bytes);
         let mut obs = NullObserver;
         for t in 0..ticks {
             core.tick(t, &mut src, &mut shared, &mut obs);

@@ -93,6 +93,9 @@ fn connect(addr: &str) -> Result<TcpStream, String> {
 /// Build the deterministic distinct-request set. Benchmarks and
 /// schedulers cycle through fixed catalogs, so the same flags always
 /// produce the same requests (and therefore the same cache keys).
+/// Request `i` runs `ticks + i / catalog.len()` ticks: the benchmark pair
+/// fixes `i % catalog.len()`, the run length the rest, so all `n`
+/// requests differ.
 fn distinct_requests(n: usize, ticks: u64, quantum: u64) -> Vec<SimRequest> {
     let catalog = [
         "milc",
@@ -118,7 +121,7 @@ fn distinct_requests(n: usize, ticks: u64, quantum: u64) -> Vec<SimRequest> {
             big: 1,
             small: 1,
             scheduler: scheds[i % scheds.len()].to_string(),
-            ticks,
+            ticks: ticks + (i / catalog.len()) as u64,
             quantum,
             half_freq_small: false,
             rob_only: false,
@@ -374,4 +377,20 @@ fn main() {
 fn fail(msg: &str) -> ! {
     eprintln!("loadgen: {msg}");
     std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_distinct_request_is_distinct() {
+        for n in [8, 25, 50] {
+            let bodies: std::collections::HashSet<Vec<u8>> = distinct_requests(n, 20_000, 5_000)
+                .iter()
+                .map(|r| serde_json::to_vec(r).expect("request serializes"))
+                .collect();
+            assert_eq!(bodies.len(), n, "--distinct {n}");
+        }
+    }
 }

@@ -68,9 +68,8 @@ pub fn run_isolated_with(
     let mut shared = SharedMem::new(SharedMemConfig::default());
     let mut counter = AceCounter::new(core_cfg, CounterKind::Perfect);
     let mut gen = TraceGenerator::new(profile.clone(), seed, 0);
-    let (base, span) = gen.address_span();
-    let warm = span.min(32 << 20);
-    shared.warm_region(base + span - warm, warm);
+    let (base, bytes) = gen.l3_warm_span();
+    shared.warm_region(base, bytes);
 
     for t in 0..duration {
         core.tick(t, &mut gen, &mut shared, &mut counter);

@@ -296,9 +296,8 @@ impl System {
             let gen =
                 TraceGenerator::new(spec.profile.clone(), spec.seed, i as u64 * APP_ADDR_STRIDE);
             if cfg.warm_caches {
-                let (base, span) = gen.address_span();
-                let warm = span.min(32 << 20);
-                shared.warm_region(base + span - warm, warm);
+                let (base, bytes) = gen.l3_warm_span();
+                shared.warm_region(base, bytes);
             }
             apps.push(AppInstance {
                 name: spec.profile.name.clone(),

@@ -197,6 +197,64 @@ impl Cache {
         false
     }
 
+    /// Read `[base, base + bytes)` one address per line, in order. This
+    /// leaves the same lines resident, with the same dirty bits and LRU
+    /// stamps, and the same tick, as
+    ///
+    /// ```text
+    /// let mut addr = base;
+    /// while addr < base + bytes {
+    ///     cache.access(addr, false);
+    ///     addr += line_bytes;
+    /// }
+    /// ```
+    ///
+    /// but statistics are left alone and most sets are written in closed
+    /// form (DESIGN.md §17). The sweep's `n` lines are consecutive, so set
+    /// `s` sees every `sets`-th of them, and the `k`-th line swept is
+    /// stamped `tick + k + 1`. A set read at least `ways` times holds
+    /// exactly its last `ways` lines afterwards, all clean (LRU keeps the
+    /// most recent distinct lines). A set read fewer than `ways` times
+    /// replays its own reads, and so does a set read fewer than
+    /// `2 * ways` times that holds a dirty line: the sweep may hit that
+    /// line and leave it dirty. A sweep that reads every set at least
+    /// `2 * ways` times thus costs one write per cache line instead of one
+    /// `ways`-wide probe per swept line. Which way of a set holds which
+    /// line may differ from the loop's; hits, victims and write-backs
+    /// depend only on the tags and stamps.
+    pub fn fill_sequential(&mut self, base: u64, bytes: u64) {
+        let stats = self.stats;
+        let line_bytes = self.cfg.line_bytes;
+        let n = bytes.div_ceil(line_bytes);
+        let (sets, ways) = (self.sets as u64, self.ways as u64);
+        let tick0 = self.tick;
+        // The `d`-th swept line (`d < sets`) heads the run of lines swept
+        // at `d + j * sets` that share its set, with tags `tag0 + j`.
+        for d in 0..n.min(sets) {
+            let reads = n / sets + u64::from(d < n % sets);
+            let (idx, tag0) = self.index_and_tag(base + d * line_bytes);
+            let set = &mut self.lines[idx * self.ways..(idx + 1) * self.ways];
+            if reads >= 2 * ways || (reads >= ways && !set.iter().any(|l| l.valid && l.dirty)) {
+                for (line, j) in set.iter_mut().zip(reads - ways..reads) {
+                    *line = Line {
+                        tag: tag0 + j,
+                        valid: true,
+                        dirty: false,
+                        lru: tick0 + d + j * sets + 1,
+                    };
+                }
+            } else {
+                for j in 0..reads {
+                    let k = d + j * sets;
+                    self.tick = tick0 + k;
+                    let _ = self.access(base + k * line_bytes, false);
+                }
+            }
+        }
+        self.tick = tick0 + n;
+        self.stats = stats;
+    }
+
     /// Whether `addr`'s line is currently resident (no state change).
     pub fn contains(&self, addr: u64) -> bool {
         let (idx, tag) = self.index_and_tag(addr);

@@ -172,15 +172,11 @@ impl SharedMem {
         }
     }
 
-    /// Untimed warm-up of the shared L3 over an address range (see
-    /// [`PrivateCaches::warm_region`]). Statistics are reset afterwards.
+    /// Untimed warm-up of the shared L3: one read per line over an
+    /// address range, as [`Cache::fill_sequential`] computes it. L3
+    /// statistics are reset afterwards.
     pub fn warm_region(&mut self, base: u64, bytes: u64) {
-        let line = self.l3.config().line_bytes;
-        let mut addr = base;
-        while addr < base + bytes {
-            let _ = self.l3.access(addr, false);
-            addr += line;
-        }
+        self.l3.fill_sequential(base, bytes);
         self.l3.reset_stats();
     }
 }
@@ -339,18 +335,19 @@ impl PrivateCaches {
         self.l2.flush();
     }
 
-    /// Untimed warm-up of the data path (L1D and L2) over an address range,
-    /// touching one word per cache line. Statistics are reset afterwards,
-    /// so warming stands in for the warm state a SimPoint would carry
-    /// without perturbing measurements.
+    /// Untimed warm-up of the data path (L1D and L2) over an address
+    /// range: each level reads one address per line of its own, as
+    /// [`Cache::fill_sequential`] computes it. This stands in for the warm
+    /// state a SimPoint would carry.
+    ///
+    /// L1D and L2 statistics are reset afterwards, and L1I's are not. A
+    /// caller that warms mid-run (`System::run_traced` does on every
+    /// migration) therefore perturbs measurements: from then on
+    /// [`PrivateCaches::stats`] counts L1D and L2 accesses only since the
+    /// last warm-up, while L1I still counts the whole run.
     pub fn warm_region(&mut self, base: u64, bytes: u64) {
-        let line = self.l1d.config().line_bytes;
-        let mut addr = base;
-        while addr < base + bytes {
-            let _ = self.l1d.access(addr, false);
-            let _ = self.l2.access(addr, false);
-            addr += line;
-        }
+        self.l1d.fill_sequential(base, bytes);
+        self.l2.fill_sequential(base, bytes);
         self.l1d.reset_stats();
         self.l2.reset_stats();
     }

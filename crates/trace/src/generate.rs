@@ -43,6 +43,10 @@ const REGION_ALIGN: u64 = 64;
 /// Quantile-table resolution for op and dependency sampling.
 const TABLE: usize = 1024;
 
+/// Cap on the part of an application's address span that a run
+/// pre-warms into the shared L3 (see [`TraceGenerator::l3_warm_span`]).
+const L3_WARM_BYTES: u64 = 32 << 20;
+
 /// Precomputed sampling tables for one phase.
 #[derive(Debug, Clone)]
 struct PhaseTables {
@@ -216,6 +220,15 @@ impl TraceGenerator {
             .max()
             .unwrap_or(0);
         (self.addr_base, span)
+    }
+
+    /// The region `(base, bytes)` a run pre-warms into the shared L3 in
+    /// place of SimPoint warm state: the top 32 MB of
+    /// [`address_span`](Self::address_span), or all of it when smaller.
+    pub fn l3_warm_span(&self) -> (u64, u64) {
+        let (base, span) = self.address_span();
+        let warm = span.min(L3_WARM_BYTES);
+        (base + span - warm, warm)
     }
 
     /// Reset to the initial state (an identical stream will be produced).
