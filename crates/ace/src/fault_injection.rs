@@ -285,8 +285,9 @@ pub fn validate_counters_traced(
         counters: PerfectAceCounters::new(cfg),
         events: Vec::new(),
     };
-    for t in 0..duration {
-        core.tick(t, &mut gen, &mut shared, &mut both);
+    let mut t = 0;
+    while t < duration {
+        t = core.step(t, duration, &mut gen, &mut shared, &mut both);
     }
     let counter_avf = avf(both.counters.abc(duration), cfg.total_bits(), duration);
     let timeline = AceTimeline::from_events(cfg, &both.events, duration, 64);

@@ -34,8 +34,9 @@
 //! let mut counters = AceCounter::new(&cfg, CounterKind::Perfect);
 //! let mut shared = SharedMem::new(SharedMemConfig::default());
 //! let mut src = TraceGenerator::new(spec_profile("milc").unwrap(), 1, 0);
-//! for tick in 0..50_000 {
-//!     core.tick(tick, &mut src, &mut shared, &mut counters);
+//! let mut tick = 0;
+//! while tick < 50_000 {
+//!     tick = core.step(tick, 50_000, &mut src, &mut shared, &mut counters);
 //! }
 //! let milc_avf = avf(counters.abc(50_000), cfg.total_bits(), 50_000);
 //! println!("milc big-core AVF = {milc_avf:.3}");

@@ -178,8 +178,13 @@ pub fn run_checkpointed(
             t = ckpt.tick;
             continue;
         }
-        core.tick(t, &mut src, &mut shared, &mut obs);
-        t += 1;
+        // Settle at the next checkpoint and the next fault, where the
+        // state is captured or rolled back.
+        let mut limit = ((t / interval + 1) * interval).min(duration);
+        if let Some(&f) = faults.get(next_fault) {
+            limit = limit.min(f);
+        }
+        t = core.step(t, limit, &mut src, &mut shared, &mut obs);
     }
 
     RollbackRun {

@@ -20,8 +20,9 @@ fn bench_cores(c: &mut Criterion) {
                     let mut shared = SharedMem::new(SharedMemConfig::default());
                     let mut counter = AceCounter::new(cfg, CounterKind::Perfect);
                     let mut src = TraceGenerator::new(spec_profile(bench).unwrap(), 1, 0);
-                    for t in 0..TICKS {
-                        core.tick(t, &mut src, &mut shared, &mut counter);
+                    let mut t = 0;
+                    while t < TICKS {
+                        t = core.step(t, TICKS, &mut src, &mut shared, &mut counter);
                     }
                     core.committed()
                 });

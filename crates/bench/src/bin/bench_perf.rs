@@ -1,6 +1,9 @@
 //! Perf-trajectory benchmark: a fixed canonical workload timed with the
 //! event-horizon skip engine on and off, written to `BENCH_perf.json` at
-//! the repo root so throughput is machine-readable across PRs.
+//! the repo root so throughput is machine-readable across PRs. The
+//! `-noskip` rows time the `--no-skip` referee, the naive loop that ticks
+//! every core on every tick, so each `*_speedup` ratio is the whole
+//! dead-tick saving of `Core::step` (DESIGN.md §11).
 //!
 //! The canonical workload is the 4B4S eight-program mix at quick scale
 //! under the reliability scheduler (fixed seed), run in both engines
@@ -96,7 +99,9 @@ struct HistoryRow {
 const HISTORY_CAP: usize = 20;
 
 /// Wall time of the quick-scale scheduler-comparison grid (the bulk of
-/// `run_all --quick`), skip vs no-skip.
+/// `run_all --quick`), skip vs the no-skip referee; `speedup` is
+/// `noskip / skip`. The isolated reference runs are outside the timing
+/// and step in both modes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct QuickGridTiming {
     skip_wall_ms: f64,
@@ -126,7 +131,8 @@ struct PerfReport {
     /// when the sibling `run_all` binary was not built alongside this one
     /// (older committed snapshots also deserialize to `None`).
     cache: Option<CacheTiming>,
-    /// `noskip / skip` wall-time ratio, fully detailed canonical run.
+    /// `noskip / skip` wall-time ratio, fully detailed canonical run: the
+    /// referee loop's time over the stepped engine's.
     detailed_speedup: f64,
     /// Same ratio with the interval-sampling engine active.
     sampled_speedup: f64,

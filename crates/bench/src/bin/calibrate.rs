@@ -47,8 +47,9 @@ fn main() {
         let (base, bytes) = src.l3_warm_span();
         shared.warm_region(base, bytes);
         let mut obs = NullObserver;
-        for t in 0..ticks {
-            core.tick(t, &mut src, &mut shared, &mut obs);
+        let mut t = 0;
+        while t < ticks {
+            t = core.step(t, ticks, &mut src, &mut shared, &mut obs);
         }
         let (l1i, l1d, _) = core.cache_stats();
         let _ = l1i;

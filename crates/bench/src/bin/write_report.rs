@@ -1,10 +1,17 @@
-//! Generate `EXPERIMENTS.md` from the JSON artifacts that `run_all` (and
-//! the individual figure binaries) write under `target/experiments/`.
+//! Render the paper-vs-measured figure tables from the JSON artifacts that
+//! `run_all` (and the individual figure binaries) write under
+//! `target/experiments/`, into `EXPERIMENTS.generated.md` in that same
+//! output directory (`$RELSIM_OUT`).
 //!
 //! ```text
 //! cargo run --release -p relsim-bench --bin run_all        # produce data
-//! cargo run --release -p relsim-bench --bin write_report   # render EXPERIMENTS.md
+//! cargo run --release -p relsim-bench --bin write_report   # render the tables
 //! ```
+//!
+//! The repo's `EXPERIMENTS.md` is maintained by hand: it holds sections
+//! this template does not (the engine, cache, profiler, perf-ledger and
+//! serving measurements), so the rendered file is a source to copy
+//! refreshed tables from, never a replacement for it.
 
 use relsim::experiments::{
     fig13_mode_means, fig13_pareto, ComparisonSummary, IsolatedRow, MixComparison, ModeCell,
@@ -466,7 +473,7 @@ fn main() {
     )
     .unwrap();
 
-    let path = std::path::Path::new("EXPERIMENTS.md");
-    relsim_obs::write_atomic(path, md.as_bytes()).expect("write EXPERIMENTS.md");
+    let path = out_dir().join("EXPERIMENTS.generated.md");
+    relsim_obs::write_atomic(&path, md.as_bytes()).expect("write EXPERIMENTS.generated.md");
     println!("wrote {path:?} ({} bytes)", md.len());
 }

@@ -132,8 +132,9 @@ pub fn parse_sample<I: IntoIterator<Item = String>>(args: I) -> Option<relsim::S
 }
 
 /// Whether `--no-skip` was passed: disables event-horizon cycle skipping
-/// in detailed windows (DESIGN.md §11). Skipping is byte-identical to the
-/// plain tick loop, so the flag only trades speed for a reference timing
+/// in the multicore system, which then runs the referee loop that ticks
+/// every core on every tick (DESIGN.md §11). Skipping is byte-identical to
+/// that loop, so the flag only trades speed for a reference timing
 /// baseline (`bench_perf`) or for bisecting a suspected equivalence bug.
 pub fn no_skip_from_args() -> bool {
     parse_no_skip(std::env::args().skip(1))
@@ -146,8 +147,9 @@ pub fn parse_no_skip<I: IntoIterator<Item = String>>(args: I) -> bool {
 
 /// Help text fragment for the `--no-skip` flag, for `--help` output.
 pub const NO_SKIP_HELP: &str =
-    "  --no-skip             disable event-horizon cycle skipping (same results, \
-                               slower; for timing baselines and equivalence bisection)";
+    "  --no-skip             disable event-horizon cycle skipping: tick every core \
+                               every tick (same results, slower; for timing baselines and \
+                               equivalence bisection)";
 
 /// Help text fragment for the `--sample` flag, for `--help` output.
 pub const SAMPLE_HELP: &str =

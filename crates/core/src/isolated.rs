@@ -71,8 +71,9 @@ pub fn run_isolated_with(
     let (base, bytes) = gen.l3_warm_span();
     shared.warm_region(base, bytes);
 
-    for t in 0..duration {
-        core.tick(t, &mut gen, &mut shared, &mut counter);
+    let mut t = 0;
+    while t < duration {
+        t = core.step(t, duration, &mut gen, &mut shared, &mut counter);
     }
 
     let abc = counter.abc(duration);

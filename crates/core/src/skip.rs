@@ -1,10 +1,16 @@
 //! Process-wide default for the event-horizon cycle-skipping mode of the
 //! detailed engine (DESIGN.md §11).
 //!
-//! Skipping is on by default: it is byte-identical to the plain tick loop
-//! (the horizon-equivalence test suite is the referee), so there is no
-//! accuracy trade-off, only speed. `--no-skip` flips this default off for
-//! A/B timing and for bisecting a suspected equivalence bug.
+//! Skipping is on by default: every core advances through
+//! [`Core::step`](relsim_cpu::Core::step), which charges dead ticks in
+//! closed form up to the core's event horizon, and the result is
+//! byte-identical to ticking every tick (the horizon-equivalence test
+//! suite is the referee), so there is no accuracy trade-off, only speed.
+//! `--no-skip` flips this default off and selects the referee: a naive
+//! loop that ticks every core on every tick and never reads a horizon, for
+//! A/B timing and for bisecting a suspected equivalence bug. Only the
+//! multicore [`System`](crate::System) reads the flag; bare-core loops
+//! (isolated runs, counter validation, checkpointed runs) always step.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

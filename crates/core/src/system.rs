@@ -245,15 +245,19 @@ pub struct System {
     shared: SharedMem,
     /// Current `mapping[core] = app`.
     mapping: Vec<usize>,
-    /// Per-core stall deadline from migration overhead.
-    stall_until: Vec<u64>,
+    /// Per-core tick at which the core is next stepped: the end of its
+    /// migration stall, or the tick its last [`Core::step`] returned.
+    /// Ticks before it are either stalled (not simulated by any loop) or
+    /// dead and already charged by that step.
+    due: Vec<u64>,
     /// Per-core tick at which the current segment's measurement starts
     /// (counters reset and baselines snapshot there).
     measure_start: Vec<u64>,
     /// Interval-sampling configuration; `None` runs fully detailed.
     sampling: Option<SamplingConfig>,
     /// Event-horizon cycle skipping in detailed windows (DESIGN.md §11).
-    /// Byte-identical to the plain tick loop, so on by default.
+    /// Byte-identical to the referee loop that ticks every core every
+    /// tick (`false`), so on by default.
     skip: bool,
     /// Active reliability mode + fault campaign; `None` skips the
     /// post-run classification entirely (DESIGN.md §15).
@@ -316,7 +320,7 @@ impl System {
             apps,
             shared,
             mapping: (0..n).collect(),
-            stall_until: vec![0; n],
+            due: vec![0; n],
             measure_start: vec![0; n],
             sampling: sampling::default_config(),
             skip: skip::default_enabled(),
@@ -345,8 +349,9 @@ impl System {
         self.sampling
     }
 
-    /// Enable or disable event-horizon cycle skipping for this system.
-    /// Systems pick up the process-wide default
+    /// Enable or disable event-horizon cycle skipping for this system;
+    /// disabled, its detailed windows run the referee loop that ticks
+    /// every core on every tick. Systems pick up the process-wide default
     /// ([`skip::default_enabled`]) at construction; this setter exists for
     /// tests and differential harnesses that need both modes in one
     /// process.
@@ -455,11 +460,6 @@ impl System {
         let mut quantum_index = 0u64;
         let n_cores = self.cores.len();
         let do_skip = self.skip;
-        // Per-core event horizon: ticks before `skip_until[i]` are dead
-        // for core `i` and already charged by `skip_to`. Targets never
-        // cross a detailed-window end, so stale entries from earlier
-        // windows or segments are inert (`self.now` only grows).
-        let mut skip_until = vec![0u64; n_cores];
         // Measurement-point snapshot buffers, reused across windows.
         let mut snap_committed: Vec<u64> = Vec::with_capacity(n_cores);
         let mut snap_cpi: Vec<CpiStack> = Vec::with_capacity(n_cores);
@@ -507,7 +507,7 @@ impl System {
                                 to_core: core,
                             });
                             self.cores[core].reset_pipeline();
-                            self.stall_until[core] = self.now + self.cfg.migration_ticks;
+                            self.due[core] = self.now + self.cfg.migration_ticks;
                             self.apps[app].migrations += 1;
                             migrations_total += 1;
                             seg_migrations += 1;
@@ -579,8 +579,10 @@ impl System {
                         Some(sc) => {
                             let mut b = cur + sc.detailed_ticks;
                             if cur == seg_start {
+                                // A step never passes its window's end, so
+                                // here `due` past `cur` is a migration stall.
                                 for i in 0..n_cores {
-                                    b = b.max(self.stall_until[i]).max(self.measure_start[i] + 1);
+                                    b = b.max(self.due[i]).max(self.measure_start[i] + 1);
                                 }
                             }
                             b.min(seg_end)
@@ -619,7 +621,19 @@ impl System {
                             snap_abc.clear();
                             snap_abc.extend(self.eval_counters.iter().map(|c| c.abc(0)));
                         }
-                        let mut ticked_any = false;
+                        // Steps settle at the re-snapshot point, whose
+                        // reads need fully charged CPI stacks, and at the
+                        // window end. The referee (`--no-skip`) steps one
+                        // tick at a time and never reads a horizon.
+                        let settle = if measure_from > t {
+                            measure_from
+                        } else {
+                            win_end
+                        };
+                        let limit = if do_skip { settle } else { t + 1 };
+                        // The next tick at which anything happens: a core
+                        // falls due, a trigger fires or the window settles.
+                        let mut next = settle;
                         #[allow(clippy::needless_range_loop)] // parallel arrays
                         for core_idx in 0..n_cores {
                             if t == self.measure_start[core_idx] && t > seg_start {
@@ -628,15 +642,16 @@ impl System {
                                 // scheduler's counter. Evaluation counters
                                 // keep the full segment (ground truth must
                                 // not lose ABC). This trigger reads only
-                                // committed counts (never pre-charged by
-                                // `skip_to`), so it may fire mid-skip.
+                                // committed counts (never pre-charged by a
+                                // step), so it may fire while the core is
+                                // between steps.
                                 measure_base[core_idx] = self.cores[core_idx].committed();
                                 self.sched_counters[core_idx].reset();
+                            } else if self.measure_start[core_idx] > t {
+                                next = next.min(self.measure_start[core_idx]);
                             }
-                            if t < self.stall_until[core_idx] {
-                                continue;
-                            }
-                            if t < skip_until[core_idx] {
+                            if t < self.due[core_idx] {
+                                next = next.min(self.due[core_idx]);
                                 continue;
                             }
                             let app_idx = self.mapping[core_idx];
@@ -647,68 +662,21 @@ impl System {
                                 eval: &mut self.eval_counters[core_idx],
                                 sched: &mut self.sched_counters[core_idx],
                             };
-                            self.cores[core_idx].tick(
+                            let due = self.cores[core_idx].step(
                                 t,
+                                limit,
                                 &mut self.apps[app_idx].gen,
                                 &mut self.shared,
                                 &mut tee,
                             );
-                            ticked_any = true;
-                            if do_skip {
-                                // Event horizon: ticks in (t, target) are
-                                // provably dead for this core. Charge them
-                                // in closed form and stop ticking it until
-                                // `target`. Clamped at the window end and
-                                // the mid-window re-snapshot point, whose
-                                // reads need fully settled CPI stacks.
-                                span::scoped(prof, Stage::SkipBookkeeping, || {
-                                    let mut target =
-                                        self.cores[core_idx].next_event(t).min(win_end);
-                                    if measure_from > t {
-                                        target = target.min(measure_from);
-                                    }
-                                    if target > t + 1 {
-                                        self.cores[core_idx].skip_to(t + 1, target);
-                                        skip_until[core_idx] = target;
-                                        seg_skipped += target - t - 1;
-                                    }
-                                });
-                            }
+                            seg_skipped += due - t - 1;
+                            self.due[core_idx] = due;
+                            next = next.min(due);
                         }
                         if prof {
                             span::set_core(None);
                         }
-                        self.now += 1;
-                        if do_skip && !ticked_any && self.now < win_end {
-                            // Every core is stalled or mid-skip: jump the
-                            // global clock to the next point of interest —
-                            // the earliest core wake-up, clamped at the
-                            // re-snapshot point and any pending per-core
-                            // measurement-start trigger.
-                            // The `>=` below matters: the iteration for
-                            // `self.now` itself has not run yet, so a
-                            // trigger scheduled exactly at `self.now` must
-                            // pin the clock (jump == now means "no jump"),
-                            // or its `t ==` check would never execute.
-                            let mut jump = win_end;
-                            if measure_from >= self.now {
-                                jump = jump.min(measure_from);
-                            }
-                            for (i, &asleep) in skip_until.iter().enumerate() {
-                                jump = jump.min(self.stall_until[i].max(asleep));
-                                if self.measure_start[i] >= self.now {
-                                    jump = jump.min(self.measure_start[i]);
-                                }
-                            }
-                            // Core-ticks in the jumped range are either
-                            // migration stalls (not simulated by the plain
-                            // loop either) or already counted when their
-                            // skip was issued, so `seg_skipped` is
-                            // untouched here.
-                            if jump > self.now {
-                                self.now = jump;
-                            }
-                        }
+                        self.now = next;
                         if prof {
                             span::exit(Stage::TickLoop);
                         }

@@ -43,8 +43,9 @@ fn main() {
     let mut src = Replay { v, i: 0 };
     let mut obs = NullObserver;
     let t0 = Instant::now();
-    for t in 0..1_000_000u64 {
-        core.tick(t, &mut src, &mut shared, &mut obs);
+    let mut t = 0;
+    while t < 1_000_000 {
+        t = core.step(t, 1_000_000, &mut src, &mut shared, &mut obs);
     }
     let el = t0.elapsed().as_secs_f64();
     println!(

@@ -115,10 +115,6 @@ pub struct InorderCore {
     /// component (see the same field on `OooCore`).
     branch_debt: u64,
     pending_fetch: Option<Instr>,
-    /// Dead-tick cache (see the same field on `OooCore`): boundaries
-    /// strictly before this tick only bump the cycle counter and charge
-    /// one CPI stall. 0 = unknown.
-    quiet_until: u64,
 
     cycles: u64,
     committed: u64,
@@ -165,7 +161,6 @@ impl InorderCore {
             branch_refill_until: 0,
             branch_debt: 0,
             pending_fetch: None,
-            quiet_until: 0,
             cycles: 0,
             committed: 0,
             wrong_path_fetched: 0,
@@ -235,7 +230,6 @@ impl InorderCore {
 
     /// Squash all in-flight state (application migration).
     pub fn reset_pipeline(&mut self) {
-        self.quiet_until = 0;
         self.pipe_len = 0;
         self.issued_len = 0;
         self.pending_fetch = None;
@@ -370,15 +364,14 @@ impl InorderCore {
         n
     }
 
-    /// Returns the number of instructions issued.
-    fn issue(&mut self, now: u64, shared: &mut SharedMem) -> u32 {
+    fn issue(&mut self, now: u64, shared: &mut SharedMem) {
         // Strictly in-order: issued entries form a prefix, so the oldest
         // unissued entry is at logical position `issued_len`. All issued:
         // nothing to select (the FU pool's per-cycle counters are only
         // read via `try_issue` below, so skipping `new_cycle` is
         // unobservable).
         if self.issued_len == self.pipe_len {
-            return 0;
+            return;
         }
         self.fu.new_cycle();
         let tpc = self.cfg.ticks_per_cycle;
@@ -437,7 +430,6 @@ impl InorderCore {
             issued += 1;
             idx += 1;
         }
-        issued
     }
 
     /// Remove all entries younger than `seq` and redirect fetch at
@@ -467,12 +459,11 @@ impl InorderCore {
         self.branch_debt = (self.branch_debt + self.cfg.frontend_delay() + 2).min(32);
     }
 
-    /// Returns whether fetch changed state (pushed instructions or took an
-    /// I-cache stall); see `OooCore::fetch` on why the unconditional
-    /// `fetch_stall_icache` clear does not count as work.
-    fn fetch(&mut self, now: u64, src: &mut dyn InstrSource) -> bool {
+    /// Fetch into the pipe; see `OooCore::fetch` on why the unconditional
+    /// `fetch_stall_icache` clear need not be replayed on dead ticks.
+    fn fetch(&mut self, now: u64, src: &mut dyn InstrSource) {
         if now < self.fetch_stall_until {
-            return false;
+            return;
         }
         self.fetch_stall_icache = false;
         let tpc = self.cfg.ticks_per_cycle;
@@ -494,7 +485,7 @@ impl InorderCore {
                     });
                     self.fetch_stall_until = now + self.cfg.icache_penalty * tpc;
                     self.fetch_stall_icache = true;
-                    return true;
+                    return;
                 }
                 i
             };
@@ -533,7 +524,6 @@ impl InorderCore {
                 break;
             }
         }
-        n > 0
     }
 
     fn account_cpi(&mut self, commits: u32, now: u64) {
@@ -577,7 +567,7 @@ impl InorderCore {
     /// head's writeback time, the issue time of the oldest unissued entry
     /// (front-end `avail`, producer results, unpipelined-divider busy
     /// time), and the end of a fetch stall when the pipe has room.
-    pub fn next_event(&self, now: u64) -> u64 {
+    pub(crate) fn next_event(&self, now: u64) -> u64 {
         let tpc = self.cfg.ticks_per_cycle;
         let nb = (now / tpc + 1) * tpc;
         // Fetch can make progress at the next boundary.
@@ -634,7 +624,7 @@ impl InorderCore {
     /// [`OooCore::skip_to`](crate::OooCore::skip_to) for the contract.
     /// Replays the per-cycle stall classification of `account_cpi` as
     /// range arithmetic over the skipped cycle boundaries.
-    pub fn skip_to(&mut self, from: u64, to: u64) {
+    pub(crate) fn skip_to(&mut self, from: u64, to: u64) {
         let tpc = self.cfg.ticks_per_cycle;
         // Cycle boundaries t = k*tpc in [from, to): k in [a, b).
         let a = from.div_ceil(tpc);
@@ -712,26 +702,15 @@ impl InorderCore {
         self.cycles += 1;
         // One global-flag read per cycle (see OooCore::tick).
         let prof = span::enabled();
-        // Dead-tick fast path (see OooCore::tick).
-        if now < self.quiet_until && !prof {
-            self.account_cpi(0, now);
-            return;
-        }
         let commits = span::scoped(prof, Stage::Commit, || self.writeback(now, shared, obs));
-        let issued = span::scoped(prof, Stage::SelectIssue, || self.issue(now, shared));
-        let fetched = span::scoped(prof, Stage::Fetch, || self.fetch(now, src));
-        self.quiet_until = if commits == 0 && issued == 0 && !fetched {
-            self.next_event(now)
-        } else {
-            0
-        };
+        span::scoped(prof, Stage::SelectIssue, || self.issue(now, shared));
+        span::scoped(prof, Stage::Fetch, || self.fetch(now, src));
         span::scoped(prof, Stage::CpiAccount, || self.account_cpi(commits, now));
     }
 
     /// Shift every in-flight absolute timestamp forward by `delta` ticks;
     /// see [`OooCore`](crate::OooCore)'s `shift_time` for the rationale.
     fn shift_time(&mut self, start: u64, delta: u64) {
-        self.quiet_until = 0;
         for i in 0..self.pipe_len {
             let s = (self.pipe_head + i) & self.slot_mask;
             let e = &mut self.pipe[s];

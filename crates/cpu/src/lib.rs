@@ -25,8 +25,11 @@
 //! let mut shared = SharedMem::new(SharedMemConfig::default());
 //! let mut src = TraceGenerator::new(spec_profile("milc").unwrap(), 1, 0);
 //! let mut obs = RecordingObserver::default();
-//! for tick in 0..50_000 {
-//!     core.tick(tick, &mut src, &mut shared, &mut obs);
+//! // `step` ticks once, charges the dead ticks after it in closed form,
+//! // and returns the next tick the core must be stepped at.
+//! let mut tick = 0;
+//! while tick < 50_000 {
+//!     tick = core.step(tick, 50_000, &mut src, &mut shared, &mut obs);
 //! }
 //! let ipc = core.committed() as f64 / core.cycles() as f64;
 //! println!("milc on the big core: IPC = {ipc:.2}");

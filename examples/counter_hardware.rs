@@ -53,9 +53,9 @@ fn main() {
             AceCounter::new(&cfg, CounterKind::HwBaseline),
             AceCounter::new(&cfg, CounterKind::HwRobOnly),
         ];
-        for t in 0..ticks {
-            let mut tee = Tee(&mut counters);
-            core.tick(t, &mut src, &mut shared, &mut tee);
+        let mut t = 0;
+        while t < ticks {
+            t = core.step(t, ticks, &mut src, &mut shared, &mut Tee(&mut counters));
         }
         let perfect = counters[0].abc(ticks);
         let hw = counters[1].abc(ticks);

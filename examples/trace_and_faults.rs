@@ -32,8 +32,9 @@ fn main() {
         let mut core = Core::new(CoreConfig::big(), PrivateCacheConfig::default());
         let mut shared = SharedMem::new(SharedMemConfig::default());
         let mut obs = NullObserver;
-        for t in 0..150_000 {
-            core.tick(t, src.as_mut(), &mut shared, &mut obs);
+        let mut t = 0;
+        while t < 150_000 {
+            t = core.step(t, 150_000, src.as_mut(), &mut shared, &mut obs);
         }
         (core.committed(), core.cycles())
     };

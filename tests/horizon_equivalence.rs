@@ -6,12 +6,13 @@
 //! Two layers of evidence:
 //!
 //! 1. Grid-level byte identity: the scheduler-comparison grid serialized
-//!    with skipping on equals the grid with skipping off, detailed and
-//!    sampled, at `-j1` and `-j4`.
-//! 2. Core-level properties (proptest): the reported horizon is always
-//!    strictly in the future, and a core driven through arbitrary legal
-//!    skips ends in exactly the architectural state of a plainly-ticked
-//!    twin.
+//!    with skipping on equals the grid with skipping off (the referee
+//!    loop, which ticks every core every tick and never reads a horizon),
+//!    detailed and sampled, at `-j1` and `-j4`.
+//! 2. Core-level properties (proptest): `Core::step` always returns a
+//!    tick in `(now, limit]`, and a core stepped under arbitrary limits
+//!    retires exactly the instruction stream of a plainly-ticked twin and
+//!    ends in exactly its state.
 //!
 //! All grid tests mutate process-wide defaults (skip enable, sampling
 //! configuration, pool worker count), so they serialize on a mutex.
@@ -96,14 +97,12 @@ fn grid_bytes(
     )
 }
 
-/// Build the small-scale reference context with the plain tick loop, so
-/// the grid run is the only thing under test.
+/// Build the small-scale reference context (isolated bare-core runs,
+/// which no skip setting affects), so the grid run is the only thing
+/// under test.
 fn reference_context() -> Context {
-    skip::set_default_enabled(false);
     sampling::set_default(None);
-    let ctx = Context::build(scale());
-    skip::set_default_enabled(true);
-    ctx
+    Context::build(scale())
 }
 
 /// The core identity: with skipping on, the fully-detailed scheduler grid
@@ -160,10 +159,8 @@ fn skip_composes_with_sampling() {
 )]
 fn quick_grid_is_byte_identical_with_and_without_skip() {
     let _lock = GLOBALS.lock().unwrap();
-    skip::set_default_enabled(false);
     sampling::set_default(None);
     let ctx = Context::build(Scale::quick());
-    skip::set_default_enabled(true);
     let quick_mixes = ctx.four_program_mixes();
     for sample in [None, Some(CLAIMED_CONFIG)] {
         let (skip_res, skip_log) = grid_bytes(&ctx, &quick_mixes, true, sample, 0);
@@ -179,12 +176,13 @@ fn quick_grid_is_byte_identical_with_and_without_skip() {
     }
 }
 
-/// Core-level properties of the horizon protocol, over both core kinds,
-/// the benchmark catalog and arbitrary seeds. These drive bare cores, so
-/// they touch no process-wide defaults and need no lock.
+/// Core-level properties of `Core::step`, over both core kinds, the
+/// benchmark catalog, arbitrary seeds and arbitrary step limits. These
+/// drive bare cores, so they touch no process-wide defaults and need no
+/// lock.
 mod horizon_properties {
     use proptest::prelude::*;
-    use relsim_cpu::{Core, CoreConfig, NullObserver};
+    use relsim_cpu::{Core, CoreConfig, NullObserver, RecordingObserver};
     use relsim_mem::{PrivateCacheConfig, SharedMem, SharedMemConfig};
     use relsim_trace::TraceGenerator;
 
@@ -218,81 +216,100 @@ mod horizon_properties {
         names[index % names.len()].clone()
     }
 
+    /// The limit of the `i`-th step taken at `now`: `ahead[i]` ticks
+    /// ahead (cycling through `ahead`), where 0 means the case end.
+    fn limit(now: u64, ahead: &[u64], i: usize) -> u64 {
+        match ahead[i % ahead.len()] {
+            0 => CASE_TICKS,
+            a => (now + a).min(CASE_TICKS),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// `next_event(now)` is always strictly in the future, at every
-        /// point of a plainly-ticked execution. A horizon `<= now` would
-        /// deadlock (or rewind) the system loop.
+        /// `step(now, limit)` always lands strictly after `now` and never
+        /// past `limit`, whatever the limit. A return `<= now` would
+        /// deadlock (or rewind) every stepping loop; one past `limit` would
+        /// skip a checkpoint, fault or re-snapshot tick.
         #[test]
         fn next_event_is_strictly_future(
             big in prop::bool::ANY,
             half_freq in prop::bool::ANY,
             bench_idx in 0usize..64,
             seed in 1u64..1_000,
+            ahead in prop::collection::vec(0u64..CASE_TICKS, 1..16),
         ) {
             let cfg = core_config(big, half_freq);
             let (mut core, mut src, mut shared) = build(cfg, &bench_name(bench_idx), seed);
             let mut obs = NullObserver;
-            for t in 0..CASE_TICKS {
-                core.tick(t, &mut src, &mut shared, &mut obs);
-                let horizon = core.next_event(t);
+            let (mut t, mut i) = (0, 0);
+            while t < CASE_TICKS {
+                let lim = limit(t, &ahead, i);
+                let next = core.step(t, lim, &mut src, &mut shared, &mut obs);
                 prop_assert!(
-                    horizon > t,
-                    "horizon {horizon} not strictly after now={t}"
+                    t < next && next <= lim,
+                    "step({t}, {lim}) returned {next}"
                 );
+                t = next;
+                i += 1;
             }
         }
 
-        /// Driving a core through arbitrary legal skips (always bounded by
-        /// its own reported horizon, chopped to arbitrary lengths) leaves
-        /// it in exactly the architectural state of a plainly-ticked twin:
-        /// same committed count, cycles, CPI stack, class mix and memory-
-        /// level profile — and the trace sources stay in lockstep.
+        /// A core stepped under arbitrary limits (partial skips well short
+        /// of the horizon included) retires exactly the instruction stream
+        /// of a plainly-ticked twin — the stream `AceCounter`,
+        /// `run_isolated` and `validate_counters` consume — and ends in
+        /// its state: committed count, cycles, CPI stack, class mix,
+        /// memory-level profile and trace position.
         #[test]
         fn skipped_core_matches_ticked_twin(
             big in prop::bool::ANY,
             half_freq in prop::bool::ANY,
             bench_idx in 0usize..64,
             seed in 1u64..1_000,
-            // Cap on each skip's length: exercises partial skips well
-            // short of the horizon, which must be just as sound. Zero
-            // means uncapped (always jump to the reported horizon).
-            max_skip_raw in 0u64..200,
+            ahead in prop::collection::vec(0u64..200, 1..16),
         ) {
-            let max_skip = if max_skip_raw == 0 { u64::MAX } else { max_skip_raw };
             let cfg = core_config(big, half_freq);
             let bench = bench_name(bench_idx);
             let (mut plain, mut plain_src, mut plain_shared) = build(cfg.clone(), &bench, seed);
-            let (mut skip, mut skip_src, mut skip_shared) = build(cfg, &bench, seed);
-            let mut obs = NullObserver;
+            let (mut stepped, mut step_src, mut step_shared) = build(cfg, &bench, seed);
+            let mut plain_obs = RecordingObserver::default();
+            let mut step_obs = RecordingObserver::default();
 
             for t in 0..CASE_TICKS {
-                plain.tick(t, &mut plain_src, &mut plain_shared, &mut obs);
+                plain.tick(t, &mut plain_src, &mut plain_shared, &mut plain_obs);
             }
-
-            let mut t = 0u64;
+            let (mut t, mut i) = (0, 0);
             while t < CASE_TICKS {
-                skip.tick(t, &mut skip_src, &mut skip_shared, &mut obs);
-                let horizon = skip.next_event(t).min(CASE_TICKS);
-                let target = horizon.min(t.saturating_add(1).saturating_add(max_skip));
-                if target > t + 1 {
-                    skip.skip_to(t + 1, target);
-                }
-                t = target.max(t + 1);
+                let lim = limit(t, &ahead, i);
+                t = stepped.step(t, lim, &mut step_src, &mut step_shared, &mut step_obs);
+                i += 1;
             }
 
-            prop_assert_eq!(skip.committed(), plain.committed(), "committed diverged");
-            prop_assert_eq!(skip.cycles(), plain.cycles(), "cycles diverged");
-            prop_assert_eq!(skip.cpi_stack(), plain.cpi_stack(), "CPI stack diverged");
-            prop_assert_eq!(skip.class_counts(), plain.class_counts(), "class mix diverged");
+            let first_diff = step_obs
+                .events
+                .iter()
+                .zip(&plain_obs.events)
+                .position(|(a, b)| a != b);
+            prop_assert!(
+                step_obs.events == plain_obs.events,
+                "retire streams diverge at event {:?} (lengths {} vs {})",
+                first_diff,
+                step_obs.events.len(),
+                plain_obs.events.len()
+            );
+            prop_assert_eq!(stepped.committed(), plain.committed(), "committed diverged");
+            prop_assert_eq!(stepped.cycles(), plain.cycles(), "cycles diverged");
+            prop_assert_eq!(stepped.cpi_stack(), plain.cpi_stack(), "CPI stack diverged");
+            prop_assert_eq!(stepped.class_counts(), plain.class_counts(), "class mix diverged");
             prop_assert_eq!(
-                skip.loads_by_level(),
+                stepped.loads_by_level(),
                 plain.loads_by_level(),
                 "memory-level profile diverged"
             );
             prop_assert_eq!(
-                skip_src.generated(),
+                step_src.generated(),
                 plain_src.generated(),
                 "trace sources fell out of lockstep"
             );
