@@ -1,11 +1,15 @@
 //! Content-addressed caching of simulation results.
 //!
 //! A cache entry is a *bundle*: the result value, the buffered event
-//! stream the computation emitted, and a snapshot of its metrics. On a
-//! hit the bundle is replayed into the caller's [`RunObs`] — events in
-//! original order after a [`Event::CacheHit`] marker, counters and
-//! histograms merged exactly — so a warm run is observationally
-//! equivalent to a cold one, not just equal in its return value.
+//! stream the computation emitted, and a snapshot of its metrics, stored
+//! as three compact JSON lines in that order (the compact writer escapes
+//! every newline inside a string, so a raw newline only ever separates
+//! lines). On a hit the bundle is replayed into the caller's [`RunObs`]
+//! — events in original order after a [`Event::CacheHit`] marker,
+//! counters and histograms merged exactly — so a warm run is
+//! observationally equivalent to a cold one, not just equal in its
+//! return value. A caller that needs only the value reads the first line
+//! with [`decode_value`] and leaves the other two unparsed.
 //!
 //! Keys are derived with [`key`]: the MurmurHash3 x64/128 digest of the
 //! canonical JSON of `(site, MODEL_VERSION, input)`. The *site* names
@@ -16,6 +20,8 @@
 //!
 //! Corruption, framing drift, and undecodable payloads are all healed
 //! locally: the entry is dropped, the result recomputed and re-stored.
+//! That includes entries in the earlier one-array layout
+//! (`[value,events,metrics]` on one line), which neither decoder accepts.
 //! A bundle that does not survive a decode/re-encode round trip (JSON
 //! has no NaN, so non-finite floats degrade to `null`) is *never*
 //! stored — such results always recompute, keeping warm output
@@ -50,28 +56,63 @@ pub fn key_if_enabled<T: Serialize + ?Sized>(site: &str, input: &T) -> Option<Ke
     }
 }
 
-/// Serialize a result bundle, verifying it survives a decode/re-encode
-/// round trip. Returns `None` — "do not store this" — when it does not
+/// Serialize a result bundle as three compact JSON lines (value,
+/// events, metrics), verifying it survives a decode/re-encode round
+/// trip. Returns `None` — "do not store this" — when it does not
 /// (non-finite floats serialize as `null` and cannot come back).
 pub fn encode_bundle<T>(value: &T, events: &[Event], metrics: &MetricsSnapshot) -> Option<Vec<u8>>
 where
     T: Serialize + Deserialize,
 {
-    let bytes = serde_json::to_vec(&(value, events, metrics)).ok()?;
-    let decoded: (T, Vec<Event>, MetricsSnapshot) = serde_json::from_slice(&bytes).ok()?;
-    let reencoded = serde_json::to_vec(&decoded).ok()?;
-    if reencoded == bytes {
-        Some(bytes)
-    } else {
-        None
+    let bytes = write_lines(value, events, metrics)?;
+    let (value, events, metrics) = decode_bundle::<T>(&bytes)?;
+    (write_lines(&value, &events, &metrics)? == bytes).then_some(bytes)
+}
+
+/// The three compact JSON lines of a bundle.
+fn write_lines<T: Serialize>(
+    value: &T,
+    events: &[Event],
+    metrics: &MetricsSnapshot,
+) -> Option<Vec<u8>> {
+    let mut bytes = serde_json::to_vec(value).ok()?;
+    bytes.push(b'\n');
+    bytes.extend(serde_json::to_vec(events).ok()?);
+    bytes.push(b'\n');
+    bytes.extend(serde_json::to_vec(metrics).ok()?);
+    Some(bytes)
+}
+
+/// Split a stored bundle into its value, events and metrics lines;
+/// `None` unless there are exactly three.
+fn lines(bytes: &[u8]) -> Option<[&[u8]; 3]> {
+    let mut it = bytes.split(|&b| b == b'\n');
+    match (it.next(), it.next(), it.next(), it.next()) {
+        (Some(value), Some(events), Some(metrics), None) => Some([value, events, metrics]),
+        _ => None,
     }
 }
 
 /// Decode a stored bundle. `None` means the payload is stale or corrupt
-/// at this layer (e.g. the value shape changed without a site bump);
-/// callers treat it as a miss and heal the entry.
+/// at this layer (e.g. the value shape changed without a site bump, or
+/// the entry predates the three-line layout); callers treat it as a
+/// miss and heal the entry.
 pub fn decode_bundle<T: Deserialize>(bytes: &[u8]) -> Option<(T, Vec<Event>, MetricsSnapshot)> {
-    serde_json::from_slice(bytes).ok()
+    let [value, events, metrics] = lines(bytes)?;
+    Some((
+        serde_json::from_slice(value).ok()?,
+        serde_json::from_slice(events).ok()?,
+        serde_json::from_slice(metrics).ok()?,
+    ))
+}
+
+/// Decode only the value of a stored bundle, leaving its events and
+/// metrics unparsed — for callers that answer from the value alone, such
+/// as the serve warm path. Like [`decode_bundle`] it demands exactly
+/// three lines, so an entry in an older layout reads as a miss here too.
+pub fn decode_value<T: Deserialize>(bytes: &[u8]) -> Option<T> {
+    let [value, _, _] = lines(bytes)?;
+    serde_json::from_slice(value).ok()
 }
 
 /// Replay a hit into `obs`: marker event, then the stored stream, then
@@ -237,6 +278,25 @@ mod tests {
         assert_eq!(v2, value);
         assert_eq!(e2, events);
         assert_eq!(m2, snap);
+        assert_eq!(decode_value::<(f64, String)>(&bytes), Some(value));
+        assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 2);
+    }
+
+    #[test]
+    fn single_array_layout_does_not_decode() {
+        let snap = relsim_obs::Recorder::new().snapshot();
+        let value = "line one\nline two".to_string();
+        let old = serde_json::to_vec(&(&value, Vec::<Event>::new(), &snap)).unwrap();
+        assert!(decode_bundle::<String>(&old).is_none());
+        assert!(decode_value::<String>(&old).is_none());
+        let bytes = encode_bundle(&value, &[], &snap).unwrap();
+        assert_eq!(decode_value::<String>(&bytes), Some(value));
+        // A fourth line, or a missing third, is not a bundle either.
+        let mut four = bytes.clone();
+        four.extend(b"\nnull");
+        assert!(decode_value::<String>(&four).is_none());
+        let two = &bytes[..bytes.iter().rposition(|&b| b == b'\n').unwrap()];
+        assert!(decode_value::<String>(two).is_none());
     }
 
     #[test]

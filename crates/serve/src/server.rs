@@ -5,8 +5,9 @@
 //! 1. a connection-handler thread parses the request and validates it
 //!    (`400` before any simulation state is touched);
 //! 2. **warm path**: if the process-wide result cache holds the
-//!    artifact, it is decoded and returned immediately (`X-Cache: hit`)
-//!    — warm requests never consume a queue slot;
+//!    artifact, only its value line is decoded (the stored events and
+//!    metrics are not needed to answer) and returned immediately
+//!    (`X-Cache: hit`) — warm requests never consume a queue slot;
 //! 3. **admission**: the request enters a bounded queue, or is shed
 //!    with `429` when the queue is full, or `503` when the server is
 //!    draining;
@@ -371,9 +372,7 @@ fn run_route(stream: &mut TcpStream, shared: &Arc<Shared>, body: &[u8]) -> bool 
     // hot traffic costs no queue slot and cannot be shed.
     if let (Some(store), Some(k)) = (relsim_cache::global(), key) {
         if let Some((payload, _tier)) = store.peek(k) {
-            if let Some((artifact, _events, _metrics)) =
-                relsim::cache::decode_bundle::<SimArtifact>(&payload)
-            {
+            if let Some(artifact) = relsim::cache::decode_value::<SimArtifact>(&payload) {
                 shared.bump("serve.warm_hits");
                 shared.observe_ns("serve.request_ns", t0.elapsed().as_nanos() as u64);
                 let bytes = artifact_bytes(&artifact);

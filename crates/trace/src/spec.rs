@@ -20,6 +20,7 @@
 //!   phase change the paper uses in Figure 4.
 
 use crate::profile::{BenchmarkProfile, MemoryProfile, OpMix, PhaseProfile, Suite};
+use std::sync::OnceLock;
 
 const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
@@ -527,12 +528,19 @@ pub fn spec2006_profiles() -> Vec<BenchmarkProfile> {
 /// assert!(relsim_trace::spec_profile("nosuch").is_none());
 /// ```
 pub fn spec_profile(name: &str) -> Option<BenchmarkProfile> {
-    spec2006_profiles().into_iter().find(|p| p.name == name)
+    catalog().iter().find(|p| p.name == name).cloned()
 }
 
 /// Names of all 29 benchmarks, in catalog order.
 pub fn spec_names() -> Vec<String> {
-    spec2006_profiles().into_iter().map(|p| p.name).collect()
+    catalog().iter().map(|p| p.name.clone()).collect()
+}
+
+/// The catalog, built once per process: lookups clone one profile
+/// instead of rebuilding all 29.
+fn catalog() -> &'static [BenchmarkProfile] {
+    static CATALOG: OnceLock<Vec<BenchmarkProfile>> = OnceLock::new();
+    CATALOG.get_or_init(spec2006_profiles)
 }
 
 #[cfg(test)]
@@ -550,6 +558,19 @@ mod tests {
         let fps = all.iter().filter(|p| p.suite == Suite::Fp).count();
         assert_eq!(ints, 12);
         assert_eq!(fps, 17);
+    }
+
+    #[test]
+    fn lookups_return_the_catalog_profiles() {
+        let all = spec2006_profiles();
+        assert_eq!(
+            spec_names(),
+            all.iter().map(|p| p.name.clone()).collect::<Vec<_>>()
+        );
+        for p in &all {
+            assert_eq!(spec_profile(&p.name).as_ref(), Some(p));
+        }
+        assert!(spec_profile("nosuch").is_none());
     }
 
     #[test]

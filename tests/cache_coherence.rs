@@ -5,15 +5,25 @@
 //! change to any output-determining input changes the cache key.
 
 use proptest::prelude::*;
-use relsim::experiments::{compare_schedulers, hcmp_config, Context, Scale};
+use relsim::cache::{decode_bundle, decode_value};
+use relsim::experiments::{compare_schedulers, hcmp_config, Context, MixCell, Scale};
+use relsim::isolated::ReferenceTable;
 use relsim::mixes::Mix;
 use relsim::{pool, CounterKind, SamplingParams, SystemConfig};
-use relsim_cache::CacheConfig;
+use relsim_cache::{CacheConfig, Key, Store};
+use relsim_cpu::CoreConfig;
 use relsim_obs::RunObs;
+use relsim_serve::http::read_response;
+use relsim_serve::{artifact_bytes, request_key, run_request, Server, ServerConfig, SimEngine};
+use relsim_serve::{SimArtifact, SimRequest};
 use relsim_trace::spec_profile;
+use serde_json::Value;
 use std::collections::HashSet;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Tests below reconfigure the process-global cache store; they must not
 /// interleave with each other (the key-sensitivity tests don't touch the
@@ -174,6 +184,161 @@ fn corrupt_entries_are_healed_misses() {
         stats.misses > 0 && stats.stores > 0,
         "corrupt entries must be recomputed and rewritten: {stats:?}"
     );
+}
+
+/// The key an entry file is stored under (its name is the key's hex).
+fn key_of(path: &Path) -> Key {
+    let stem = path
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .expect("entry name");
+    Key(u128::from_str_radix(stem, 16).expect("entry name is a key"))
+}
+
+/// The same bundle in the one-array layout that preceded the three-line
+/// one: `[value,events,metrics]` on a single line.
+fn single_array(bundle: &[u8]) -> Vec<u8> {
+    let (value, events, metrics) = decode_bundle::<Value>(bundle).expect("a three-line bundle");
+    serde_json::to_vec(&(value, events, metrics)).expect("serialize")
+}
+
+fn newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// Every bundle a grid stores decodes to the same value through
+/// `decode_value` as through `decode_bundle`. Grid entries left in the
+/// old one-array layout under their real `mix-cell/v1` keys are
+/// invalidated, recomputed into identical output bytes, and rewritten
+/// as three lines.
+#[test]
+fn old_layout_grid_entries_heal_into_three_lines() {
+    let _guard = store_guard();
+    let dir = scratch_dir("old-layout-grid");
+
+    enable_cache(&dir);
+    let cold = run_grid(0);
+    let store = Store::new(CacheConfig {
+        dir: Some(dir.clone()),
+    });
+    let files = entry_files(&dir);
+    assert!(!files.is_empty(), "cold run persisted no entries");
+    let mut cells = Vec::new();
+    for path in &files {
+        let key = key_of(path);
+        let (bundle, _) = store.peek(key).expect("stored entry reads back");
+        assert_eq!(newlines(&bundle), 2, "{path:?} is not three lines");
+        let (value, _, _) = decode_bundle::<Value>(&bundle).expect("bundle decodes");
+        assert_eq!(decode_value::<Value>(&bundle), Some(value), "{path:?}");
+        if decode_bundle::<MixCell>(&bundle).is_some() {
+            store.put(key, single_array(&bundle));
+            cells.push(key);
+        }
+    }
+    assert_eq!(cells.len(), mixes().len() * 3, "one mix-cell entry per run");
+
+    enable_cache(&dir);
+    let healed = run_grid(0);
+    let stats = relsim_cache::global_stats().expect("cache enabled");
+    relsim_cache::configure(None);
+
+    assert_eq!(cold, healed, "old-layout entries changed the output bytes");
+    assert_eq!(stats.invalidations, cells.len() as u64, "{stats:?}");
+    assert_eq!(stats.misses, cells.len() as u64, "{stats:?}");
+    let reread = Store::new(CacheConfig {
+        dir: Some(dir.clone()),
+    });
+    for key in cells {
+        let (bundle, _) = reread.peek(key).expect("healed entry persisted");
+        assert_eq!(newlines(&bundle), 2, "entry {key} was not rewritten");
+        assert!(decode_bundle::<MixCell>(&bundle).is_some());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn post_run(addr: SocketAddr, body: &[u8]) -> (u16, Option<String>, Vec<u8>) {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    let head = format!(
+        "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    s.write_all(head.as_bytes()).unwrap();
+    s.write_all(body).unwrap();
+    read_response(&mut s).expect("response")
+}
+
+/// A served request whose entry sits in the old one-array layout under
+/// its real `serve-run/v1` key: the warm path cannot decode it, so the
+/// request goes to the engine, the answer is byte-identical to the batch
+/// artifact, the entry is rewritten as three lines, and the next request
+/// is a warm hit with the same bytes.
+#[test]
+fn old_layout_serve_entry_heals_into_three_lines() {
+    let _guard = store_guard();
+    let dir = scratch_dir("old-layout-serve");
+    enable_cache(&dir);
+
+    let profiles: Vec<_> = ["milc", "hmmer"]
+        .iter()
+        .map(|n| spec_profile(n).expect("catalog benchmark"))
+        .collect();
+    let refs = ReferenceTable::build(&profiles, &CoreConfig::big(), &CoreConfig::small(), 40_000);
+    let req = SimRequest {
+        benchmarks: vec!["milc".into(), "hmmer".into()],
+        big: 1,
+        small: 1,
+        scheduler: "reliability".into(),
+        ticks: 20_000,
+        quantum: 5_000,
+        half_freq_small: false,
+        rob_only: false,
+    };
+    let key = request_key(&refs.fingerprint(), &req);
+    let mut obs = RunObs::buffered();
+    let artifact = run_request(&refs, &req, &mut obs);
+    let events = obs.sink.take_events().unwrap_or_default();
+    let bundle = relsim::cache::encode_bundle(&artifact, &events, &obs.recorder.snapshot())
+        .expect("artifact round-trips");
+    let store = relsim_cache::global().expect("cache enabled");
+    store.put(key, single_array(&bundle));
+    let want = artifact_bytes(&artifact);
+
+    let server = Server::start(Arc::new(SimEngine::new(refs)), ServerConfig::default())
+        .expect("server starts");
+    let body = serde_json::to_vec(&req).unwrap();
+    let (code, cache, first) = post_run(server.addr(), &body);
+    assert_eq!(code, 200, "{}", String::from_utf8_lossy(&first));
+    assert_eq!(
+        cache.as_deref(),
+        Some("miss"),
+        "an old entry is not a warm hit"
+    );
+    assert_eq!(first, want, "healed answer differs from the batch artifact");
+    let (code, cache, second) = post_run(server.addr(), &body);
+    assert_eq!(
+        (code, cache.as_deref()),
+        (200, Some("hit")),
+        "the rewritten entry serves warm"
+    );
+    assert_eq!(second, want, "warm answer differs from the batch artifact");
+    server.shutdown();
+    let stats = relsim_cache::global_stats().expect("cache enabled");
+    relsim_cache::configure(None);
+    assert_eq!(stats.invalidations, 1, "{stats:?}");
+
+    let (rewritten, _) = Store::new(CacheConfig {
+        dir: Some(dir.clone()),
+    })
+    .peek(key)
+    .expect("healed entry persisted");
+    assert_eq!(
+        rewritten,
+        bundle.into(),
+        "entry not rewritten as three lines"
+    );
+    assert_eq!(decode_value::<SimArtifact>(&rewritten), Some(artifact));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Perturbing any single field of the real key inputs — system config,
