@@ -121,10 +121,11 @@ fi
 
 # `./ci.sh pins` gates the benchmark package under perfbench/ (its own
 # cargo workspace over the program's public API): perfbench's tests, then
-# every output digest `perfbench --pin` prints for the default seed (the
-# 2B2S grid, the sampled memory-bound replicas and the served hot-set
-# catalog) must appear verbatim in perfbench/pins.txt. A change to any
-# output the benchmark pins fails here instead of in a timed run.
+# every output digest `perfbench --pin` prints for the default seed 2017
+# and the held-out seed 4242 (the 2B2S grid, the sampled memory-bound
+# replicas and the served hot-set catalog) must appear verbatim in
+# perfbench/pins.txt. A change to any output the benchmark pins fails
+# here instead of in a timed run.
 if [[ "${1:-}" == "pins" ]]; then
   echo "==> pins gate: perfbench tests + output digests vs perfbench/pins.txt"
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
@@ -134,7 +135,7 @@ if [[ "${1:-}" == "pins" ]]; then
   rm -rf "$out"
   mkdir -p "$out"
   for w in grid-2b2s sampled-membound; do
-    "$bench" --pin --workload "$w" --seeds 2017 >"$out/$w.txt"
+    "$bench" --pin --workload "$w" --seeds 2017,4242 >"$out/$w.txt"
   done
   "$bench" --pin --workload serve-hotcold >"$out/serve-hotcold.txt"
   for f in "$out"/*.txt; do

@@ -308,6 +308,15 @@ mod tests {
     }
 
     #[test]
+    fn negative_zero_bundles_are_stored() {
+        let snap = relsim_obs::Recorder::new().snapshot();
+        let value = (-0.0f64, vec![1.5f64, -0.0]);
+        let bytes = encode_bundle(&value, &[], &snap).expect("-0.0 survives the round trip");
+        let (back, _, _) = decode_bundle::<(f64, Vec<f64>)>(&bytes).unwrap();
+        assert!(back.0.is_sign_negative() && back.1[1].is_sign_negative());
+    }
+
+    #[test]
     fn key_separates_sites_versions_and_inputs() {
         let a = key("site-a/v1", &42u64);
         assert_eq!(a, key("site-a/v1", &42u64));

@@ -65,19 +65,13 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Per-set logical timestamp of the last touch (for LRU).
-    lru: u64,
-}
-
 /// A set-associative, write-allocate, write-back cache with true LRU.
 ///
-/// The model tracks tags only (no data), which is sufficient for timing and
-/// vulnerability simulation.
+/// Each set keeps its valid tags contiguous and in recency order, most
+/// recent first, with one dirty bit per recency position: a hit moves its
+/// tag to the front, and a miss fills the front and evicts the last tag
+/// of a full set. The model tracks tags only (no data), which is
+/// sufficient for timing and vulnerability simulation.
 ///
 /// # Examples
 ///
@@ -93,18 +87,21 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// All lines, flattened: set `i` occupies `[i*ways, (i+1)*ways)`.
-    lines: Vec<Line>,
+    /// Tags, flattened: set `i` occupies `[i*ways, (i+1)*ways)`, and its
+    /// `len[i]` valid tags come first, most recently used first.
+    tags: Vec<u64>,
+    /// The dirty bit of each recency position, laid out like `tags`.
+    /// Positions at or past a set's valid count are stale and never read.
+    dirty: Vec<bool>,
+    /// Valid tags per set.
+    len: Vec<u32>,
     sets: usize,
     ways: usize,
     /// `log2(line_bytes)`, so indexing shifts instead of dividing.
     line_shift: u32,
-    /// `sets - 1` when `sets` is a power of two (the common case for
-    /// every Table 2 geometry), else 0 with `set_mask_valid` unset.
-    set_mask: u64,
-    /// Whether `set_mask` may be used in place of `% sets`.
-    set_mask_valid: bool,
-    tick: u64,
+    /// `log2(sets)` when `sets` is a power of two (every Table 2
+    /// geometry), so indexing masks and shifts instead of dividing.
+    set_bits: Option<u32>,
     stats: CacheStats,
 }
 
@@ -119,17 +116,13 @@ impl Cache {
         let ways = cfg.ways as usize;
         Cache {
             cfg,
-            lines: vec![Line::default(); sets * ways],
+            tags: vec![0; sets * ways],
+            dirty: vec![false; sets * ways],
+            len: vec![0; sets],
             sets,
             ways,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: if sets.is_power_of_two() {
-                sets as u64 - 1
-            } else {
-                0
-            },
-            set_mask_valid: sets.is_power_of_two(),
-            tick: 0,
+            set_bits: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             stats: CacheStats::default(),
         }
     }
@@ -151,55 +144,53 @@ impl Cache {
 
     #[inline]
     fn index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr >> self.line_shift;
-        if self.set_mask_valid {
-            (
-                (line & self.set_mask) as usize,
-                line >> self.set_mask.count_ones(),
-            )
-        } else {
-            let sets = self.sets as u64;
-            ((line % sets) as usize, line / sets)
+        let (line, sets) = (addr >> self.line_shift, self.sets as u64);
+        match self.set_bits {
+            Some(bits) => ((line & (sets - 1)) as usize, line >> bits),
+            None => ((line % sets) as usize, line / sets),
         }
+    }
+
+    /// Move recency positions `0..n` of the set starting at `lo` back one
+    /// place and put `tag` in front with dirty bit `dirty`. A plain loop,
+    /// inlined: over a set's few positions it beats two `memmove` calls.
+    #[inline(always)]
+    fn push_front(&mut self, lo: usize, n: usize, tag: u64, dirty: bool) {
+        let (tags, bits) = (&mut self.tags[lo..=lo + n], &mut self.dirty[lo..=lo + n]);
+        for i in (0..n).rev() {
+            tags[i + 1] = tags[i];
+            bits[i + 1] = bits[i];
+        }
+        tags[0] = tag;
+        bits[0] = dirty;
     }
 
     /// Access `addr`; returns `true` on hit. On a miss the line is filled
     /// (write-allocate), possibly evicting the LRU way; a dirty eviction is
     /// counted as a write-back. `is_write` marks the line dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
-        self.tick += 1;
         self.stats.accesses += 1;
         let (idx, tag) = self.index_and_tag(addr);
-        let tick = self.tick;
-        let set = &mut self.lines[idx * self.ways..(idx + 1) * self.ways];
-
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = tick;
-            line.dirty |= is_write;
+        let (lo, len) = (idx * self.ways, self.len[idx] as usize);
+        if let Some(pos) = self.tags[lo..lo + len].iter().position(|&t| t == tag) {
+            let dirty = self.dirty[lo + pos] | is_write;
+            self.push_front(lo, pos, tag, dirty);
             self.stats.hits += 1;
             return true;
         }
-
-        // Miss: fill into an invalid way or evict the LRU way.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
-            .expect("cache sets are never empty");
-        if victim.valid && victim.dirty {
-            self.stats.writebacks += 1;
+        // Miss: a full set's least recent tag falls off the end.
+        if len == self.ways {
+            self.stats.writebacks += u64::from(self.dirty[lo + len - 1]);
+        } else {
+            self.len[idx] += 1;
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: tick,
-        };
+        self.push_front(lo, len.min(self.ways - 1), tag, is_write);
         false
     }
 
     /// Read `[base, base + bytes)` one address per line, in order. This
-    /// leaves the same lines resident, with the same dirty bits and LRU
-    /// stamps, and the same tick, as
+    /// leaves the same lines resident, in the same recency order and with
+    /// the same dirty bits, as
     ///
     /// ```text
     /// let mut addr = base;
@@ -210,64 +201,66 @@ impl Cache {
     /// ```
     ///
     /// but statistics are left alone and most sets are written in closed
-    /// form (DESIGN.md §17). The sweep's `n` lines are consecutive, so set
-    /// `s` sees every `sets`-th of them, and the `k`-th line swept is
-    /// stamped `tick + k + 1`. A set read at least `ways` times holds
-    /// exactly its last `ways` lines afterwards, all clean (LRU keeps the
-    /// most recent distinct lines). A set read fewer than `ways` times
-    /// replays its own reads, and so does a set read fewer than
-    /// `2 * ways` times that holds a dirty line: the sweep may hit that
-    /// line and leave it dirty. A sweep that reads every set at least
-    /// `2 * ways` times thus costs one write per cache line instead of one
-    /// `ways`-wide probe per swept line. Which way of a set holds which
-    /// line may differ from the loop's; hits, victims and write-backs
-    /// depend only on the tags and stamps.
+    /// form (DESIGN.md §17). The sweep's lines are consecutive, so each set
+    /// reads every `sets`-th of them: `reads` lines with the consecutive
+    /// tags `tag0 … tag0 + reads − 1`. The set ends with the last
+    /// `k = min(reads, ways)` of those in front, clean, followed by its
+    /// first `ways − k` earlier tags with their dirty bits, whenever
+    ///
+    /// - it holds none of the swept tags, so every read misses; or
+    /// - `reads ≥ 2 * ways`, or `reads ≥ ways` and it holds no dirty line:
+    ///   no earlier tag survives, and no swept line can end dirty.
+    ///
+    /// Any other set replays its own reads through [`Cache::access`]. A
+    /// sweep over lines no set holds, such as the warm-up of an
+    /// application's own address range, thus costs at most one write per
+    /// cache line instead of one `ways`-wide probe per swept line.
     pub fn fill_sequential(&mut self, base: u64, bytes: u64) {
         let stats = self.stats;
         let line_bytes = self.cfg.line_bytes;
         let n = bytes.div_ceil(line_bytes);
-        let (sets, ways) = (self.sets as u64, self.ways as u64);
-        let tick0 = self.tick;
+        let (sets, ways) = (self.sets as u64, self.ways);
+        let (rounds, extra) = (n / sets, n % sets);
         // The `d`-th swept line (`d < sets`) heads the run of lines swept
         // at `d + j * sets` that share its set, with tags `tag0 + j`.
         for d in 0..n.min(sets) {
-            let reads = n / sets + u64::from(d < n % sets);
+            let reads = rounds + u64::from(d < extra);
             let (idx, tag0) = self.index_and_tag(base + d * line_bytes);
-            let set = &mut self.lines[idx * self.ways..(idx + 1) * self.ways];
-            if reads >= 2 * ways || (reads >= ways && !set.iter().any(|l| l.valid && l.dirty)) {
-                for (line, j) in set.iter_mut().zip(reads - ways..reads) {
-                    *line = Line {
-                        tag: tag0 + j,
-                        valid: true,
-                        dirty: false,
-                        lru: tick0 + d + j * sets + 1,
-                    };
+            let (lo, len) = (idx * ways, self.len[idx] as usize);
+            let closed_form = reads >= 2 * ways as u64
+                || !self.tags[lo..lo + len]
+                    .iter()
+                    .any(|&t| t.wrapping_sub(tag0) < reads)
+                || (reads >= ways as u64 && !self.dirty[lo..lo + len].contains(&true));
+            if closed_form {
+                let k = reads.min(ways as u64) as usize;
+                let kept = len.min(ways - k);
+                self.tags.copy_within(lo..lo + kept, lo + k);
+                self.dirty.copy_within(lo..lo + kept, lo + k);
+                for (i, t) in self.tags[lo..lo + k].iter_mut().enumerate() {
+                    *t = tag0 + reads - 1 - i as u64;
                 }
+                self.dirty[lo..lo + k].fill(false);
+                self.len[idx] = (k + kept) as u32;
             } else {
                 for j in 0..reads {
-                    let k = d + j * sets;
-                    self.tick = tick0 + k;
-                    let _ = self.access(base + k * line_bytes, false);
+                    let _ = self.access(base + (d + j * sets) * line_bytes, false);
                 }
             }
         }
-        self.tick = tick0 + n;
         self.stats = stats;
     }
 
     /// Whether `addr`'s line is currently resident (no state change).
     pub fn contains(&self, addr: u64) -> bool {
         let (idx, tag) = self.index_and_tag(addr);
-        self.lines[idx * self.ways..(idx + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let lo = idx * self.ways;
+        self.tags[lo..lo + self.len[idx] as usize].contains(&tag)
     }
 
     /// Invalidate the entire cache (e.g. on migration); statistics are kept.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.len.fill(0);
     }
 }
 

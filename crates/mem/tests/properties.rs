@@ -6,10 +6,9 @@
 
 use proptest::prelude::*;
 use relsim_mem::{
-    Cache, CacheConfig, MemController, MemControllerConfig, MemLevel, PrivateCacheConfig,
-    PrivateCaches, SharedMem, SharedMemConfig,
+    Cache, CacheConfig, CacheStats, MemController, MemControllerConfig, MemLevel,
+    PrivateCacheConfig, PrivateCaches, SharedMem, SharedMemConfig,
 };
-use std::collections::HashMap;
 
 fn cache_strategy() -> impl Strategy<Value = CacheConfig> {
     // Small caches so property runs are fast: 2^s sets, 1-8 ways.
@@ -247,38 +246,148 @@ proptest! {
     }
 }
 
-/// Cross-checking the cache against a fully-associative per-set hash-map
-/// model over longer random streams.
-#[test]
-fn randomized_against_reference_model() {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let cfg = CacheConfig {
-        size_bytes: 8 << 10,
-        ways: 4,
-        line_bytes: 64,
-        latency: 1,
-    };
-    let sets = cfg.sets();
-    let mut cache = Cache::new(cfg);
-    // Reference: per-set LRU lists.
-    let mut model: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut rng = SmallRng::seed_from_u64(42);
-    for i in 0..200_000u64 {
-        let addr = if rng.gen_bool(0.7) {
-            rng.gen_range(0u64..(4 << 10))
-        } else {
-            rng.gen_range(0u64..(1 << 20))
-        };
-        let line = addr / 64;
-        let set = line % sets;
-        let entry = model.entry(set).or_default();
-        let expect_hit = entry.contains(&line);
-        let got = cache.access(addr, false);
-        assert_eq!(got, expect_hit, "divergence at access {i} addr {addr:#x}");
-        entry.retain(|&l| l != line);
-        entry.insert(0, line);
-        entry.truncate(4);
+/// Reference model: per set, a list of `(line, dirty)`, most recent
+/// first, driven one line at a time.
+struct LruModel {
+    sets: u64,
+    ways: usize,
+    line_bytes: u64,
+    lists: Vec<Vec<(u64, bool)>>,
+    stats: CacheStats,
+}
+
+impl LruModel {
+    fn new(cfg: CacheConfig) -> Self {
+        LruModel {
+            sets: cfg.sets(),
+            ways: cfg.ways as usize,
+            line_bytes: cfg.line_bytes,
+            lists: vec![Vec::new(); cfg.sets() as usize],
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn access(&mut self, addr: u64, is_write: bool) -> bool {
+        let line = addr / self.line_bytes;
+        let list = &mut self.lists[(line % self.sets) as usize];
+        self.stats.accesses += 1;
+        let hit = list.iter().position(|&(l, _)| l == line);
+        let was_dirty = hit.is_some_and(|i| list.remove(i).1);
+        list.insert(0, (line, was_dirty || is_write));
+        if list.len() > self.ways && list.pop().is_some_and(|(_, dirty)| dirty) {
+            self.stats.writebacks += 1;
+        }
+        self.stats.hits += u64::from(hit.is_some());
+        hit.is_some()
+    }
+
+    /// The per-line sweep, statistics left alone.
+    fn fill(&mut self, base: u64, bytes: u64) {
+        let stats = self.stats;
+        let mut addr = base;
+        while addr < base + bytes {
+            let _ = self.access(addr, false);
+            addr += self.line_bytes;
+        }
+        self.stats = stats;
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        self.lists[(line % self.sets) as usize]
+            .iter()
+            .any(|&(l, _)| l == line)
+    }
+
+    fn flush(&mut self) {
+        self.lists.iter_mut().for_each(Vec::clear);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Access(u64, bool),
+    /// A sweep of `lines` lines from an offset into the traffic window,
+    /// or into a fresh 64 GB region no other operation touches.
+    Fill {
+        fresh: bool,
+        offset: u64,
+        lines: u64,
+    },
+    Flush,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    // Of every 47 operations, 40 are accesses, 6 sweeps and 1 a flush.
+    (0u32..47, 0u64..1 << 20, 0u64..1 << 20, prop::bool::ANY).prop_map(|(kind, a, b, flag)| {
+        match kind {
+            0..40 => Op::Access(a, flag),
+            40..46 => Op::Fill {
+                fresh: flag,
+                offset: a,
+                lines: b,
+            },
+            _ => Op::Flush,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The cache agrees with a per-set LRU list that tracks dirty bits,
+    /// under random reads and writes, `fill_sequential` sweeps (the
+    /// model runs the per-line loop) and flushes, on 1-12 sets (powers of
+    /// two or not) and 1-16 ways: the hit or miss of every access,
+    /// residency over every range touched, and the final statistics,
+    /// write-backs included.
+    #[test]
+    fn matches_lru_list_model(
+        (sets, ways) in (1u64..13, 1u32..17),
+        ops in prop::collection::vec(op_strategy(), 1..300),
+    ) {
+        let line = 64;
+        let cfg = CacheConfig { size_bytes: sets * ways as u64 * line, ways, line_bytes: line, latency: 1 };
+        let capacity = sets * ways as u64;
+        // Traffic covers three capacities; a sweep runs up to three
+        // capacities, so sets are read below `ways`, between `ways` and
+        // `2 * ways`, and past `2 * ways` times.
+        let window = 3 * capacity * line;
+        let mut cache = Cache::new(cfg);
+        let mut model = LruModel::new(cfg);
+        let mut touched = vec![(0, window)];
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Access(a, is_write) => {
+                    let addr = a % window;
+                    prop_assert_eq!(
+                        cache.access(addr, is_write),
+                        model.access(addr, is_write),
+                        "op {}: access to {:#x}", i, addr
+                    );
+                }
+                Op::Fill { fresh, offset, lines } => {
+                    let region = if fresh { (i as u64 + 1) << 36 } else { 0 };
+                    let base = region + offset % window;
+                    let bytes = ((lines % (3 * capacity + 1)) * line).saturating_sub(offset % line);
+                    cache.fill_sequential(base, bytes);
+                    model.fill(base, bytes);
+                    touched.push((base, bytes));
+                }
+                Op::Flush => {
+                    cache.flush();
+                    model.flush();
+                }
+            }
+        }
+        for &(base, bytes) in &touched {
+            let mut addr = base - base % line;
+            while addr < base + bytes {
+                prop_assert_eq!(cache.contains(addr), model.contains(addr), "residency of {:#x}", addr);
+                addr += line;
+            }
+        }
+        prop_assert_eq!(cache.stats(), model.stats);
     }
 }
 
@@ -372,9 +481,13 @@ proptest! {
     }
 }
 
-/// The Table 2 L3 warmed the way `System::new` warms it: two
+/// The Table 2 L3 warmed the way `System::new` warms it. First, two
 /// applications' 12 MB regions in turn, the first written to beforehand
-/// and the second at an unaligned base.
+/// and the second at an unaligned base. Then, on an empty L3, five real
+/// applications' `l3_warm_span`s in turn at their `System::new` bases
+/// (`i << 36`): 1, 2, 4, 8 and 32 MB, so each set is read 2, 4, 8, 16
+/// and 64 times, and the sets read fewer than 16 times take the closed
+/// form for sets that hold none of their swept tags.
 #[test]
 fn fill_sequential_matches_per_line_loop_on_the_l3() {
     use rand::rngs::SmallRng;
@@ -395,4 +508,34 @@ fn fill_sequential_matches_per_line_loop_on_the_l3() {
         })
         .collect();
     check_fill_matches_loop(fast, slow, b, region, &follow).unwrap();
+
+    let spans: Vec<(u64, u64)> = ["gobmk", "perlbench", "bzip2", "gcc", "milc"]
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let profile = relsim_trace::spec_profile(name).expect("a SPEC profile");
+            relsim_trace::TraceGenerator::new(profile, 1, (i as u64) << 36).l3_warm_span()
+        })
+        .collect();
+    let mb: Vec<u64> = spans.iter().map(|&(_, bytes)| bytes >> 20).collect();
+    assert_eq!(mb, [1, 2, 4, 8, 32], "warm spans in MB");
+    let mut fast = Cache::new(SharedMemConfig::default().l3);
+    let mut slow = fast.clone();
+    let (&(last_base, last_bytes), earlier) = spans.split_last().expect("five spans");
+    for &(base, bytes) in earlier {
+        fast.fill_sequential(base, bytes);
+        sweep_per_line(&mut slow, base, bytes);
+        let mut addr = base;
+        while addr < base + bytes {
+            assert_eq!(fast.contains(addr), slow.contains(addr), "{addr:#x}");
+            addr += 64;
+        }
+    }
+    let follow: Vec<(u64, bool)> = (0..50_000)
+        .map(|_| {
+            let (base, bytes) = spans[rng.gen_range(0..spans.len())];
+            (base + rng.gen_range(0..bytes), rng.gen_bool(0.3))
+        })
+        .collect();
+    check_fill_matches_loop(fast, slow, last_base, last_bytes, &follow).unwrap();
 }
