@@ -52,7 +52,8 @@ fi
 
 # `./ci.sh serve` is the relsim-serve smoke gate: start the daemon at a
 # quick scale, prove wire-level byte-identity against the batch CLI
-# (simulate --result-out), drive a mixed hot/cold load profile with
+# (simulate --result-out, plain and under --profile, whose manifest must
+# carry the stage profile), drive a mixed hot/cold load profile with
 # loadgen (zero drops, >90% warm-hit rate on repeats, zero shed), and
 # drain cleanly via POST /shutdown.
 if [[ "${1:-}" == "serve" ]]; then
@@ -82,6 +83,24 @@ EOF
   diff "$out/batch.json" "$out/served-cold.json"
   diff "$out/batch.json" "$out/served-warm.json"
   echo "    served responses byte-identical to the batch artifact"
+  # The same request again under the span profiler: profiling must not
+  # move a byte of the artifact, and the run manifest must carry the
+  # stage profile (set-up through metrics), not the removed host_profile.
+  RELSIM_OUT="$out" RELSIM_CACHE_DIR="$out/cli-cache" target/release/simulate --quick \
+    --benchmarks milc,hmmer --big 1 --small 1 --scheduler reliability \
+    --ticks 60000 --quantum 10000 --profile --metrics-out "$out/cli-metrics.json" \
+    --result-out "$out/batch-profiled.json" >/dev/null
+  diff "$out/batch.json" "$out/batch-profiled.json"
+  cli_manifest="$out/cli-metrics.manifest.json"
+  for stage in setup metrics; do
+    grep -q "\"stage\": *\"$stage\"" "$cli_manifest" \
+      || { echo "    $cli_manifest names no $stage stage"; exit 1; }
+  done
+  if grep -q '"host_profile"' "$cli_manifest"; then
+    echo "    $cli_manifest still has a host_profile key"
+    exit 1
+  fi
+  echo "    profiled CLI run byte-identical; its manifest names the setup and metrics stages"
   # Mixed hot/cold load: >=1000 requests, zero dropped, repeats >90%
   # warm, nothing shed at this depth, responses byte-identical per
   # request (loadgen enforces all of this and exits nonzero otherwise).
@@ -199,8 +218,8 @@ cargo test --release -q -p relsim-bench --test golden
 
 echo "==> parallel determinism: run_all --quick at -j1 vs -j2"
 # Same grid, different worker counts: every artifact (result JSON, the
-# cached reference table, the event trace) and stdout must be
-# byte-identical. The host-time profile goes to stderr, which is the one
+# result cache directory, the event trace) and stdout must be
+# byte-identical. Progress and timing go to stderr, which is the one
 # stream allowed to differ.
 for j in 1 2; do
   out="target/ci-determinism/j$j"

@@ -25,11 +25,12 @@
 //! (scheduler decisions with predicted objectives, migrations, samples);
 //! with `--metrics-out` it writes a metrics snapshot (core, cache and
 //! DRAM counters) plus a run manifest (`*.manifest.json`) recording the
-//! full configuration, scheduler, seed and host-time profile.
+//! full configuration, scheduler, seed, elapsed time and, under
+//! `--profile`, the stage profile.
 
 use relsim::experiments::Context;
 use relsim_bench::MODEL_VERSION;
-use relsim_obs::{info, manifest_path, write_manifest, Phase, RunManifest, OBS_HELP};
+use relsim_obs::{info, manifest_path, write_manifest, RunManifest, OBS_HELP};
 use relsim_serve::{artifact_bytes, run_request, SimRequest};
 
 fn arg_value(name: &str) -> Option<String> {
@@ -44,6 +45,7 @@ fn flag(name: &str) -> bool {
 }
 
 fn main() {
+    let started = std::time::Instant::now();
     let obs_args = relsim_bench::obs_init();
     if flag("--list") {
         println!("available benchmarks:");
@@ -88,19 +90,12 @@ fn main() {
 
     let mut obs = relsim_bench::run_obs(&obs_args);
 
-    // Reference table for the metrics (cached across invocations).
-    // `--quick` selects the quick-scale table, matching `serve --quick`.
+    // Reference table for the metrics; its isolated runs come from the
+    // result cache when warm. `--quick` selects the quick-scale table,
+    // matching `serve --quick`.
     let mut scale = relsim_bench::scale_from_args();
     scale.quantum_ticks = req.quantum;
-    let ctx = obs.timers.time(Phase::Setup, || {
-        Context::load_or_build(
-            scale,
-            &std::path::Path::new("target/experiments").join(format!(
-                "context-cli-{}-{}.json",
-                scale.isolation_ticks, scale.seed
-            )),
-        )
-    });
+    let ctx = Context::build(scale);
 
     info!(
         "running {} on {}B{}S under {} for {} ticks...",
@@ -207,8 +202,7 @@ fn main() {
         manifest.duration_ticks = req.ticks;
         manifest.scale = serde_json::to_value(&scale).unwrap_or(serde::Value::Null);
         manifest.config = serde_json::to_value(&req).unwrap_or(serde::Value::Null);
-        manifest.elapsed_seconds = obs.timers.elapsed().as_secs_f64();
-        manifest.host_profile = obs.timers.profile();
+        manifest.elapsed_seconds = started.elapsed().as_secs_f64();
         manifest.outputs = outputs;
         manifest.cache = relsim_bench::cache_manifest_value();
         manifest.stage_profile = relsim_obs::StageProfile::from_snapshot(&snapshot);

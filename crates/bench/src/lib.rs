@@ -329,16 +329,17 @@ pub fn cache_manifest_value() -> Option<serde::Value> {
 }
 
 /// Open the run-level observer for a binary: events stream to
-/// `--trace-out` (exiting cleanly if the path is unwritable), metrics and
-/// phase timers accumulate for [`obs_finish`].
+/// `--trace-out` (exiting cleanly if the path is unwritable) and metrics
+/// accumulate for [`obs_finish`].
 pub fn run_obs(args: &ObsArgs) -> RunObs {
     RunObs::with_sink(args.sink_or_exit())
 }
 
 /// Finish a binary's observed run: flush the event sink, write
-/// `--metrics-out` (exiting cleanly on I/O failure), log the merged host
-/// profile, and report any job failures the pool caught — exiting
-/// nonzero if there were any, after all successful results were written.
+/// `--metrics-out` (exiting cleanly on I/O failure), log the stage
+/// profile under `--profile`, and report any job failures the pool
+/// caught — exiting nonzero if there were any, after all successful
+/// results were written.
 pub fn obs_finish(args: &ObsArgs, obs: &mut RunObs) {
     // Fold the main thread's span state in before the snapshot below so
     // `--metrics-out` carries the `prof.*` series; pool-worker spans were
@@ -376,20 +377,6 @@ pub fn obs_finish(args: &ObsArgs, obs: &mut RunObs) {
                 breakdown.join(", ")
             );
         }
-    }
-    let profile = obs.timers.profile();
-    if profile.attributed_seconds > 0.0 {
-        let breakdown: Vec<String> = profile
-            .phases
-            .iter()
-            .filter(|(_, s)| *s > 0.0)
-            .map(|(n, s)| format!("{n} {s:.2}s"))
-            .collect();
-        info!(
-            "host profile: {:.2}s attributed across workers ({})",
-            profile.attributed_seconds,
-            breakdown.join(", ")
-        );
     }
     if let Some(stats) = relsim_cache::global_stats() {
         if stats.lookups() > 0 {
@@ -440,14 +427,12 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Build or load the shared experiment context for `scale`.
+/// Build the shared experiment context for `scale`. Its isolated runs
+/// go through the result cache, so a warm cache rebuilds it without
+/// simulating, and `--no-cache` recomputes it.
 pub fn context(scale: Scale) -> Context {
-    let path = out_dir().join(format!(
-        "context-{MODEL_VERSION}-{}-{}.json",
-        scale.isolation_ticks, scale.seed
-    ));
-    info!("context: building/loading isolated reference table ({path:?})");
-    Context::load_or_build(scale, &path)
+    info!("context: building isolated reference table");
+    Context::build(scale)
 }
 
 /// Persist a JSON result artifact next to the printed output. The write

@@ -15,8 +15,8 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
 
-/// Artifact files are the `fig*.json` results; the context cache
-/// (`context-*.json`) is an implementation detail and not snapshotted.
+/// Artifact files are the `fig*.json` results; the result cache
+/// (`.relsim-cache/`) is an implementation detail and not snapshotted.
 fn artifact_names(dir: &Path) -> BTreeSet<String> {
     std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("read {dir:?}: {e}"))

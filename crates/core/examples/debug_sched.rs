@@ -4,10 +4,7 @@ use relsim::*;
 
 fn main() {
     let scale = Scale::default_scale();
-    let ctx = Context::load_or_build(
-        scale,
-        std::path::Path::new("target/experiments/context-2-1000000-2017.json"),
-    );
+    let ctx = Context::build(scale);
     let mixes = [
         ("HHLL", vec!["milc", "zeusmp", "astar", "perlbench"]),
         ("HHHH", vec!["calculix", "bwaves", "leslie3d", "lbm"]),

@@ -197,7 +197,6 @@ where
         obs.sink.emit(e);
     }
     obs.recorder.merge(&inner.recorder);
-    obs.timers.absorb(&inner.timers);
 
     if lease.is_some() {
         let stored = span::scope(Stage::CacheStore, || {

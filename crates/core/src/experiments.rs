@@ -1,9 +1,9 @@
 //! Experiment drivers regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §3 for the experiment index).
 //!
-//! All experiments are deterministic given a [`Scale`]; expensive shared
-//! artifacts (the isolated-run reference table) can be cached on disk via
-//! [`Context::load_or_build`].
+//! All experiments are deterministic given a [`Scale`]. The expensive
+//! shared artifact, the isolated-run reference table, is built by
+//! [`Context::build`], whose isolated runs go through the result cache.
 
 use crate::evaluate::{evaluate, Evaluation, DEFAULT_IFR};
 use crate::isolated::{run_isolated, IsolatedResult, ReferenceTable};
@@ -19,10 +19,10 @@ use relsim_ace::CounterKind;
 use relsim_cache::Key;
 use relsim_cpu::{CoreConfig, CoreKind};
 use relsim_metrics::arithmetic_mean;
-use relsim_obs::{Phase, RunObs};
+use relsim_obs::span::{self, Stage};
+use relsim_obs::RunObs;
 use relsim_power::{PowerModel, PowerReport, SharedActivity};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// Experiment scale knobs (DESIGN.md §7 maps them to the paper's values).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,47 +90,6 @@ impl Context {
         Context { scale, refs, class }
     }
 
-    /// The content key a context built at `scale` must carry: the hash
-    /// of the scale *and* (via [`crate::cache::MODEL_VERSION`] inside
-    /// [`crate::cache::key`]) the simulation model itself. A cached
-    /// context whose recorded key differs is stale — even if its `Scale`
-    /// field looks right — and is rebuilt.
-    pub fn content_key(scale: Scale) -> String {
-        crate::cache::key("context/v1", &scale).hex()
-    }
-
-    /// Load a cached context from `path` if its content key matches
-    /// `scale` under the current model version, else build and cache it.
-    /// I/O errors fall back to building without caching.
-    pub fn load_or_build(scale: Scale, path: &Path) -> Self {
-        let want = Self::content_key(scale);
-        if let Ok(bytes) = std::fs::read(path) {
-            if let Ok(cached) = serde_json::from_slice::<CachedContext>(&bytes) {
-                if cached.key == want {
-                    return cached.context;
-                }
-            }
-        }
-        let ctx = Self::build(scale);
-        ctx.store(path);
-        ctx
-    }
-
-    /// Atomically persist the context (wrapped with its content key) at
-    /// `path`. I/O failures are ignored: the file is an optimization.
-    pub fn store(&self, path: &Path) {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let wrapped = CachedContext {
-            key: Self::content_key(self.scale),
-            context: self.clone(),
-        };
-        if let Ok(bytes) = serde_json::to_vec(&wrapped) {
-            let _ = relsim_obs::write_atomic(path, &bytes);
-        }
-    }
-
     /// The paper's 4-program workload set (36 mixes at paper scale).
     pub fn four_program_mixes(&self) -> Vec<Mix> {
         generate_mixes(&self.class, 4, self.scale.per_category, self.scale.seed)
@@ -145,14 +104,6 @@ impl Context {
     pub fn eight_program_mixes(&self) -> Vec<Mix> {
         generate_mixes(&self.class, 8, self.scale.per_category, self.scale.seed + 2)
     }
-}
-
-/// On-disk wrapper of a cached [`Context`]: the context plus the
-/// content key ([`Context::content_key`]) it was built under.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CachedContext {
-    key: String,
-    context: Context,
 }
 
 /// Which scheduler to run.
@@ -215,9 +166,9 @@ pub fn run_mix(
     run_mix_traced(ctx, sys_cfg, mix, sched, params, &mut RunObs::disabled())
 }
 
-/// [`run_mix`] with observability: events stream to `obs.sink`, metrics
-/// accumulate in `obs.recorder`, and host time lands in `obs.timers`.
-/// This is the per-job body the parallel drivers hand to the pool.
+/// [`run_mix`] with observability: events stream to `obs.sink` and
+/// metrics accumulate in `obs.recorder`. This is the per-job body the
+/// parallel drivers hand to the pool.
 pub fn run_mix_traced(
     ctx: &Context,
     sys_cfg: &SystemConfig,
@@ -235,9 +186,7 @@ pub fn run_mix_traced(
     );
     let mut system = System::new(sys_cfg.clone(), &specs);
     let result = system.run_traced(scheduler.as_mut(), ctx.scale.run_ticks, obs);
-    let eval = obs
-        .timers
-        .time(Phase::Metrics, || evaluate(&result, &ctx.refs, DEFAULT_IFR));
+    let eval = span::scope(Stage::Metrics, || evaluate(&result, &ctx.refs, DEFAULT_IFR));
     (eval, result)
 }
 
@@ -444,7 +393,7 @@ pub fn run_mix_cell(
         l3_accesses: result.shared.l3_accesses,
         mem_requests: result.shared.mem_requests,
     };
-    let power = obs.timers.time(Phase::Metrics, || {
+    let power = span::scope(Stage::Metrics, || {
         PowerModel::default().report(&activities, &shared, result.duration)
     });
     let (detailed, ff) = result
@@ -1009,9 +958,7 @@ pub fn run_mode_cell(
     let mut system = System::new(sys_cfg.clone(), &specs);
     system.set_reliability(Some(plan));
     let result = system.run_traced(scheduler.as_mut(), ctx.scale.run_ticks, obs);
-    let eval = obs
-        .timers
-        .time(Phase::Metrics, || evaluate(&result, &ctx.refs, DEFAULT_IFR));
+    let eval = span::scope(Stage::Metrics, || evaluate(&result, &ctx.refs, DEFAULT_IFR));
     let report = result.reliability.clone().expect("plan was set");
 
     let stp_raw = if plan.mode == ModeKind::Dmr {
@@ -1029,7 +976,7 @@ pub fn run_mode_cell(
         mem_requests: result.shared.mem_requests,
     };
     let model = PowerModel::default();
-    let power = obs.timers.time(Phase::Metrics, || {
+    let power = span::scope(Stage::Metrics, || {
         model.report(&activities, &shared, result.duration)
     });
     let run_seconds = result.duration as f64 * model.tick_seconds;
@@ -1511,39 +1458,5 @@ mod tests {
         for (_, o) in &outcomes {
             assert!(o.ser_gain() >= -1e-9);
         }
-    }
-
-    #[test]
-    fn context_cache_round_trip() {
-        let ctx = tiny_ctx();
-        let dir = std::env::temp_dir().join("relsim-test-cache");
-        let path = dir.join("ctx.json");
-        let _ = std::fs::remove_file(&path);
-        ctx.store(&path);
-        let loaded = Context::load_or_build(ctx.scale, &path);
-        assert_eq!(loaded.refs.names(), ctx.refs.names());
-        assert_eq!(loaded.scale, ctx.scale);
-
-        // A stored context is only trusted when its content key matches:
-        // a legacy file (raw `Context`, no key) must be rebuilt, not
-        // loaded — its scale field alone proves nothing about the model
-        // it was built under.
-        std::fs::write(&path, serde_json::to_vec(&ctx).unwrap()).unwrap();
-        let rebuilt = Context::load_or_build(ctx.scale, &path);
-        assert_eq!(rebuilt.refs.names(), ctx.refs.names());
-        // ... and rebuilding rewrote the file in keyed form.
-        let bytes = std::fs::read(&path).unwrap();
-        let reread: serde::Value = serde_json::from_slice(&bytes).unwrap();
-        match &reread {
-            serde::Value::Object(fields) => {
-                assert_eq!(fields[0].0, "key");
-                assert_eq!(
-                    fields[0].1,
-                    serde::Value::String(Context::content_key(ctx.scale))
-                );
-            }
-            other => panic!("expected keyed wrapper, got {other:?}"),
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

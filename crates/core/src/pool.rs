@@ -7,13 +7,12 @@
 //! deterministic function of the inputs:
 //!
 //! * each job runs with its own [`RunObs`] (buffered event sink, private
-//!   recorder and phase timers), so workers never contend on shared
-//!   observability state;
+//!   recorder), so workers never contend on shared observability state;
 //! * at the barrier, per-job observations are merged back into the
 //!   caller's [`RunObs`] in grid order — events replay in the order a
-//!   serial run would have emitted them, counters add, gauges take the
-//!   last (grid-order) value, and per-worker phase timers roll up into
-//!   the host profile. `-j8` output is therefore byte-identical to `-j1`;
+//!   serial run would have emitted them, counters add, and gauges take
+//!   the last (grid-order) value. `-j8` output is therefore
+//!   byte-identical to `-j1`;
 //! * a panicking job is caught ([`std::panic::catch_unwind`]), logged as
 //!   a structured [`Event::JobFailed`] at its grid position, and recorded
 //!   for end-of-run reporting via [`take_failures`] — the other workers
@@ -91,7 +90,6 @@ struct Done<T> {
     result: Result<T, String>,
     events: Vec<Event>,
     obs: relsim_obs::Recorder,
-    timers: relsim_obs::PhaseTimers,
     spans: Vec<relsim_obs::SpanRecord>,
 }
 
@@ -135,7 +133,6 @@ fn run_one<I, T>(
         result,
         events,
         obs: job_obs.recorder,
-        timers: job_obs.timers,
         spans,
     }
 }
@@ -228,14 +225,13 @@ where
 }
 
 /// Merge one finished job into the caller's observer (events in order,
-/// counters added, timers absorbed) and convert its outcome: `Some` on
+/// counters added, spans appended) and convert its outcome: `Some` on
 /// success, `None` for a panic (warned, evented, registered).
 fn merge_done<T>(label: &str, i: usize, done: Done<T>, obs: &mut RunObs) -> Option<T> {
     for e in &done.events {
         obs.sink.emit(e);
     }
     obs.recorder.merge(&done.obs);
-    obs.timers.absorb(&done.timers);
     if !done.spans.is_empty() {
         // Grid order, not worker order: the trace is a deterministic
         // function of the inputs at any `-jN`.
@@ -281,7 +277,7 @@ where
 }
 
 /// Scatter without observability: jobs still run isolated and panics are
-/// still caught/reported, but events, counters and timers are discarded.
+/// still caught/reported, but events and counters are discarded.
 pub fn scatter_map<I, T, F>(label: &str, items: Vec<I>, f: F) -> Vec<Option<T>>
 where
     I: Send,

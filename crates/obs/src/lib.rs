@@ -14,11 +14,15 @@
 //!    [`EventSink`] (file, in-memory for tests, or null). Event bytes are
 //!    a deterministic function of the run's seed, so determinism tests can
 //!    assert byte-identical logs;
-//! 3. scope timers ([`PhaseTimers`]) that attribute host wall-time to
-//!    simulation phases and report a [`HostProfile`] per run;
-//! 4. a [`RunManifest`] written next to every result JSON, capturing the
-//!    full system configuration, scheduler, seed, scale, and elapsed time
-//!    so any figure can be traced back to its exact configuration.
+//! 3. a span profiler ([`span`], off unless `--profile` or
+//!    `--trace-spans`) that partitions host wall-time exactly across
+//!    named stages, from `System::new` set-up through the engine loop to
+//!    metric evaluation, and reports a [`StageProfile`] per run;
+//! 4. a [`RunManifest`] — written by `simulate` next to its
+//!    `--metrics-out`/`--trace-out` file and by `relsim-serve` per
+//!    computed request — capturing the run's configuration, scheduler,
+//!    seed, scale, elapsed time and (when profiled) the stage profile, so
+//!    a result can be traced back to its exact configuration.
 //!
 //! Entry points for binaries live in [`ObsArgs`] (`--trace-out`,
 //! `--metrics-out`, `--quiet`, `--log-level`) and the [`error!`],
@@ -33,7 +37,6 @@ pub mod log;
 pub mod manifest;
 pub mod recorder;
 pub mod span;
-pub mod timers;
 
 pub use chrome::{to_chrome_json, write_chrome_trace};
 pub use cli::{ObsArgs, OBS_HELP};
@@ -43,7 +46,6 @@ pub use recorder::{
     CounterId, GaugeId, Histogram, HistogramId, HistogramSnapshot, MetricsSnapshot, Recorder,
 };
 pub use span::{SpanRecord, SpanThread, Stage};
-pub use timers::{HostProfile, Phase, PhaseTimers};
 
 pub use log::{log_level, set_log_level, LogLevel};
 
@@ -51,21 +53,20 @@ use std::io;
 use std::path::Path;
 
 /// Everything a traced run carries: the event sink, the metrics
-/// recorder, the host-time phase timers, and any span threads drained
-/// from the profiler. `RunObs::disabled()` is the zero-overhead default
-/// used by untraced runs.
+/// recorder (which also receives the span profiler's `prof.*` series),
+/// and any span threads drained from the profiler. `RunObs::disabled()`
+/// is the zero-overhead default used by untraced runs.
 pub struct RunObs {
     pub sink: Box<dyn EventSink>,
     pub recorder: Recorder,
-    pub timers: PhaseTimers,
     /// Completed span threads (see [`span`]): one per logical unit of
     /// work, merged in deterministic grid order by the parallel pool.
     pub spans: Vec<SpanThread>,
 }
 
 impl RunObs {
-    /// A null-sink observer: events are dropped, metrics and timers still
-    /// accumulate (both are cheap — a handful of adds per quantum).
+    /// A null-sink observer: events are dropped, metrics still accumulate
+    /// (a handful of adds per quantum).
     pub fn disabled() -> Self {
         Self::with_sink(Box::new(NullSink))
     }
@@ -75,7 +76,6 @@ impl RunObs {
         RunObs {
             sink,
             recorder: Recorder::new(),
-            timers: PhaseTimers::new(),
             spans: Vec::new(),
         }
     }

@@ -1,8 +1,7 @@
-//! Run manifests: the provenance record written next to every result.
+//! Run manifests: the provenance record written next to a result.
 
 use crate::recorder::MetricsSnapshot;
 use crate::span::STAGES;
-use crate::timers::HostProfile;
 use crate::write_atomic;
 use serde::{Deserialize, Serialize, Value};
 use std::io;
@@ -29,8 +28,6 @@ pub struct RunManifest {
     pub config: Value,
     /// Host wall time consumed by the run, in seconds.
     pub elapsed_seconds: f64,
-    /// Host-time attribution per simulation phase.
-    pub host_profile: HostProfile,
     /// Result/trace/metrics files this run produced.
     pub outputs: Vec<String>,
     /// Result-cache traffic during the run (`relsim_cache::CacheStats` as
@@ -56,11 +53,6 @@ impl RunManifest {
             scale: Value::Null,
             config: Value::Null,
             elapsed_seconds: 0.0,
-            host_profile: HostProfile {
-                phases: Vec::new(),
-                attributed_seconds: 0.0,
-                elapsed_seconds: 0.0,
-            },
             outputs: Vec::new(),
             cache: None,
             stage_profile: None,
@@ -242,6 +234,19 @@ mod tests {
         assert!(!legacy.contains("stage_profile"));
         let back: RunManifest = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back.stage_profile, None);
+        // Manifests from older versions also carry a `host_profile`
+        // object; unknown keys are ignored.
+        let fresh = RunManifest::new("t", 3, "s", 1);
+        let with_host_profile = String::from_utf8(serde_json::to_vec(&fresh).unwrap())
+            .unwrap()
+            .replace(
+                ",\"outputs\":",
+                ",\"host_profile\":{\"phases\":[[\"setup\",0.25],[\"core_tick\",1.5]],\
+                     \"attributed_seconds\":1.75,\"elapsed_seconds\":2.0},\"outputs\":",
+            );
+        assert!(with_host_profile.contains("host_profile"));
+        let back: RunManifest = serde_json::from_str(&with_host_profile).unwrap();
+        assert_eq!(back, fresh);
     }
 
     #[test]

@@ -9,16 +9,17 @@
 //!    thread's span stack. Self-times are therefore an *exact partition*
 //!    of the instrumented region — summing the per-stage totals
 //!    reconstructs the region's wall time with no double counting, which
-//!    is what lets the profiler attribute >95% of detailed-engine time to
-//!    named stages. Totals are kept per `(core, stage)` (see
-//!    [`set_core`]) plus a log2 histogram of span durations per stage.
-//! 2. **Trace records**: coarse stages (segments, sampling windows,
-//!    scheduler calls, pool jobs, cache traffic) additionally push a
-//!    [`SpanRecord`] on exit, exportable as a Chrome trace-event JSON
-//!    (see [`crate::chrome`]). Hot per-tick stages never record
-//!    individual spans — a million-tick run would produce an unloadable
-//!    trace — instead [`exit_with_rollup`] synthesizes one back-to-back
-//!    child span per hot stage when a sampling window closes.
+//!    is what lets the profiler attribute ≥99.5% of a run's wall time,
+//!    from `System::new` to the last metric, to named stages. Totals are
+//!    kept per `(core, stage)` (see [`set_core`]) plus a log2 histogram
+//!    of span durations per stage.
+//! 2. **Trace records**: coarse stages (set-up, segments, sampling
+//!    windows, scheduler calls, pool jobs, cache traffic, metrics)
+//!    additionally push a [`SpanRecord`] on exit, exportable as a Chrome
+//!    trace-event JSON (see [`crate::chrome`]). Hot per-tick stages never
+//!    record individual spans — a million-tick run would produce an
+//!    unloadable trace — instead [`exit_with_rollup`] synthesizes one
+//!    back-to-back child span per hot stage when a sampling window closes.
 //!
 //! # Cost contract
 //!
@@ -86,10 +87,16 @@ pub enum Stage {
     CacheLookup,
     /// Writing a freshly computed bundle into the result cache.
     CacheStore,
+    /// Building a `System`: cores, counters, trace generators and the
+    /// closed-form cache warm-up.
+    Setup,
+    /// End-of-run evaluation: fault classification, result assembly,
+    /// SSER/STP metrics and the power model.
+    Metrics,
 }
 
 /// Every stage, in the fixed order used for drains and reports.
-pub const STAGES: [Stage; 19] = [
+pub const STAGES: [Stage; 21] = [
     Stage::Fetch,
     Stage::RenameDispatch,
     Stage::Wakeup,
@@ -109,6 +116,8 @@ pub const STAGES: [Stage; 19] = [
     Stage::PoolJob,
     Stage::CacheLookup,
     Stage::CacheStore,
+    Stage::Setup,
+    Stage::Metrics,
 ];
 
 const NUM_STAGES: usize = STAGES.len();
@@ -136,6 +145,8 @@ impl Stage {
             Stage::PoolJob => "pool_job",
             Stage::CacheLookup => "cache_lookup",
             Stage::CacheStore => "cache_store",
+            Stage::Setup => "setup",
+            Stage::Metrics => "metrics",
         }
     }
 

@@ -15,7 +15,8 @@ use relsim::{
     StaticScheduler, System, SystemConfig,
 };
 use relsim_cache::Key;
-use relsim_obs::{Phase, RunObs};
+use relsim_obs::span::{self, Stage};
+use relsim_obs::RunObs;
 use relsim_power::{PowerModel, SharedActivity};
 use serde::{Deserialize, Serialize};
 
@@ -187,13 +188,9 @@ pub fn run_request(refs: &ReferenceTable, req: &SimRequest, obs: &mut RunObs) ->
         .enumerate()
         .map(|(i, n)| AppSpec::spec(n, i as u64 + 1))
         .collect();
-    let mut system = obs
-        .timers
-        .time(Phase::Setup, || System::new(cfg.clone(), &specs));
+    let mut system = System::new(cfg, &specs);
     let result = system.run_traced(scheduler.as_mut(), req.ticks, obs);
-    let eval = obs
-        .timers
-        .time(Phase::Metrics, || evaluate(&result, refs, DEFAULT_IFR));
+    let eval = span::scope(Stage::Metrics, || evaluate(&result, refs, DEFAULT_IFR));
     let power = PowerModel::default().report(
         &result
             .cores

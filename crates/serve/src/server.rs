@@ -26,7 +26,7 @@ use crate::http::{self, ReadError, Request, Status};
 use crate::proto::{artifact_bytes, request_key, run_request, SimArtifact, SimRequest};
 use relsim::isolated::ReferenceTable;
 use relsim_cache::Key;
-use relsim_obs::{MetricsSnapshot, Recorder, RunManifest, RunObs};
+use relsim_obs::{MetricsSnapshot, Recorder, RunManifest, RunObs, StageProfile};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -473,7 +473,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             let computed = job.key.is_none() || snap.counter("cache.misses").unwrap_or(0) > 0;
             if computed {
                 shared.bump("serve.cold_runs");
-                write_job_manifest(shared, &job.req, &obs, t0.elapsed().as_secs_f64(), job.key);
+                write_job_manifest(shared, &job.req, &snap, t0.elapsed().as_secs_f64(), job.key);
             } else {
                 // Admitted but resolved warm: a concurrent leader
                 // stored the artifact while this job sat in the queue.
@@ -512,7 +512,7 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
 fn write_job_manifest(
     shared: &Arc<Shared>,
     req: &SimRequest,
-    obs: &RunObs,
+    snap: &MetricsSnapshot,
     elapsed: f64,
     key: Option<Key>,
 ) {
@@ -528,8 +528,8 @@ fn write_job_manifest(
     manifest.duration_ticks = req.ticks;
     manifest.config = serde_json::to_value(req).unwrap_or(serde::Value::Null);
     manifest.elapsed_seconds = elapsed;
-    manifest.host_profile = obs.timers.profile();
     manifest.cache = relsim_cache::global_stats().map(|s| s.to_value());
+    manifest.stage_profile = StageProfile::from_snapshot(snap);
     let name = match key {
         Some(k) => k.hex(),
         None => format!(
