@@ -175,6 +175,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Broken or private intra-doc links fail the build. Per package, not
+# --workspace: the vendored proptest fails rustdoc on its own.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p relsim -p relsim-ace -p relsim-bench -p relsim-cache -p relsim-cpu -p relsim-mem -p relsim-metrics -p relsim-obs -p relsim-power -p relsim-serve -p relsim-trace
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

@@ -22,6 +22,7 @@
 //! two responses for the same request differ by a byte, or if the
 //! `--min-warm-rate` / `--max-shed` gates fail.
 
+use relsim_bench::{arg_value, flag};
 use relsim_serve::http::{read_response, ReadError};
 use relsim_serve::SimRequest;
 use std::collections::HashMap;
@@ -29,17 +30,6 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 fn addr() -> String {
     if let Some(a) = arg_value("--addr") {

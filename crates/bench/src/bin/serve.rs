@@ -15,22 +15,11 @@
 //! the content-addressed cache before admission. Drive it with the
 //! `loadgen` binary.
 
-use relsim_bench::{obs_finish, obs_init, run_obs, scale_from_args};
+use relsim_bench::{arg_value, flag, obs_finish, obs_init, run_obs, scale_from_args};
 use relsim_obs::info;
 use relsim_serve::{Server, ServerConfig, SimEngine};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 fn main() {
     let obs_args = obs_init();

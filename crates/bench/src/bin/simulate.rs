@@ -29,20 +29,9 @@
 //! `--profile`, the stage profile.
 
 use relsim::experiments::Context;
-use relsim_bench::MODEL_VERSION;
+use relsim_bench::{arg_value, flag, MODEL_VERSION};
 use relsim_obs::{info, manifest_path, write_manifest, RunManifest, OBS_HELP};
 use relsim_serve::{artifact_bytes, run_request, SimRequest};
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
 
 fn main() {
     let started = std::time::Instant::now();

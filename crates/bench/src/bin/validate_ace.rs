@@ -27,26 +27,25 @@ fn main() {
         .into_iter()
         .flat_map(|name| [(name, CoreConfig::big()), (name, CoreConfig::small())])
         .collect();
-    let rows = relsim::pool::scatter_map_into(
+    let rows = relsim::pool::scatter(
         "validate-ace",
-        grid,
+        grid.iter().map(|cell| (None, cell)).collect(),
         &mut obs,
+        relsim::pool::default_jobs(),
         |_, (name, cfg), job_obs| {
             let profile = relsim_trace::spec_profile(name).expect("catalog benchmark");
-            let kind = cfg.kind;
             // Per-cell seed derived from the cell's identity, not its grid
             // position or scheduling order: the campaign stream is the same
             // whichever worker runs the cell at any `-jN`.
-            let seed = relsim_ace::live::mix_seed(7, &format!("{name}/{kind}"));
-            let (campaign, counter_avf) = validate_counters_traced(
-                &cfg,
+            let seed = relsim_ace::live::mix_seed(7, &format!("{name}/{}", cfg.kind));
+            validate_counters_traced(
+                cfg,
                 &profile,
                 ticks,
                 injections,
                 seed,
                 job_obs.sink.as_mut(),
-            );
-            (name, kind, campaign, counter_avf)
+            )
         },
     );
     println!("# ACE analysis vs Monte Carlo fault injection");
@@ -54,12 +53,12 @@ fn main() {
         "{:<12} {:>6} {:>12} {:>18} {:>10}",
         "benchmark", "core", "counter AVF", "fault-injection", "agree?"
     );
-    for (i, slot) in rows.into_iter().enumerate() {
+    for ((name, cfg), slot) in grid.iter().zip(rows) {
         match slot {
-            Some((name, kind, campaign, counter_avf)) => println!(
+            Ok((campaign, counter_avf)) => println!(
                 "{:<12} {:>6} {:>12.4} {:>12.4} ±{:.4} {:>6}",
                 name,
-                kind.to_string(),
+                cfg.kind.to_string(),
                 counter_avf,
                 campaign.avf_estimate,
                 campaign.confidence_95,
@@ -72,9 +71,9 @@ fn main() {
             // The pool records the panic; obs_finish reports it and exits
             // nonzero. Keep the row visible instead of silently shrinking
             // the table.
-            None => println!(
+            Err(failure) => println!(
                 "{:<12} {:>6} {:>12} {:>18} {:>10}",
-                format!("cell[{i}]"),
+                format!("cell[{}]", failure.index),
                 "-",
                 "FAILED",
                 "job panicked",

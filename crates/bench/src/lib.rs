@@ -89,6 +89,32 @@ pub fn parse_jobs<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
     None
 }
 
+/// The value of flag `name` in the process arguments, given as
+/// `name VALUE` or `name=VALUE`; `None` when absent or valueless.
+pub fn arg_value(name: &str) -> Option<String> {
+    parse_arg_value(std::env::args().skip(1), name)
+}
+
+/// Testable [`arg_value`]: the first occurrence of `name` wins.
+pub fn parse_arg_value<I: IntoIterator<Item = String>>(args: I, name: &str) -> Option<String> {
+    let prefix = format!("{name}=");
+    let mut iter = args.into_iter();
+    while let Some(arg) = iter.next() {
+        if let Some(v) = arg.strip_prefix(prefix.as_str()) {
+            return Some(v.to_string());
+        }
+        if arg == name {
+            return iter.next();
+        }
+    }
+    None
+}
+
+/// Whether the bare flag `name` is among the process arguments.
+pub fn flag(name: &str) -> bool {
+    std::env::args().skip(1).any(|a| a == name)
+}
+
 /// Help text fragment for the `--jobs` flag, for `--help` output.
 pub const JOBS_HELP: &str = "  --jobs N, -j N        worker threads for the experiment grid \
                              (default: available parallelism; output is byte-identical at any N)";
@@ -609,6 +635,19 @@ mod tests {
         // `-json` must not be mistaken for `-j son`.
         assert_eq!(parse(&["-json"]), None);
         assert_eq!(parse(&["--jobs", "lots"]), None);
+    }
+
+    #[test]
+    fn arg_value_forms() {
+        use super::parse_arg_value;
+        let value =
+            |args: &[&str], name: &str| parse_arg_value(args.iter().map(|s| s.to_string()), name);
+        assert_eq!(value(&["--x", "v"], "--x").as_deref(), Some("v"));
+        assert_eq!(value(&["--x=v"], "--x").as_deref(), Some("v"));
+        assert_eq!(value(&["--quick", "--x"], "--x"), None);
+        assert_eq!(value(&["--quick", "--y", "v"], "--x"), None);
+        // A longer flag sharing the prefix is not this one.
+        assert_eq!(value(&["--xy=v", "--xy", "w"], "--x"), None);
     }
 
     #[test]

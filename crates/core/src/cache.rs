@@ -47,7 +47,7 @@ pub fn key<T: Serialize + ?Sized>(site: &str, input: &T) -> Key {
 
 /// [`key`] when the process-wide cache is enabled, else `None` (skipping
 /// serialization + hashing entirely). The `Option<Key>` plugs directly
-/// into [`crate::pool::scatter_map_cached_into`] item tuples.
+/// into [`crate::pool::scatter`] item tuples.
 pub fn key_if_enabled<T: Serialize + ?Sized>(site: &str, input: &T) -> Option<Key> {
     if relsim_cache::enabled() {
         Some(key(site, input))
@@ -145,7 +145,7 @@ fn replay_hit(
 /// bundle; miss → compute under the single-flight lease, store the
 /// bundle (if it round-trips), and merge the fresh observations into
 /// `obs`. Exactly the engine behind both the cached scatter
-/// ([`crate::pool::scatter_map_cached_into`]) and [`cached`].
+/// ([`crate::pool::scatter`]) and [`cached`].
 pub fn run_keyed<T, F>(store: &Store, key: Key, obs: &mut RunObs, f: F) -> T
 where
     T: Serialize + Deserialize,
@@ -233,7 +233,7 @@ where
 /// `f` through the cache keyed by `(site, MODEL_VERSION, input)`, or run
 /// it directly when caching is disabled. For single-result call sites
 /// (e.g. whole-figure drivers); grids go through
-/// [`crate::pool::scatter_map_cached_into`].
+/// [`crate::pool::scatter`].
 pub fn cached<T, F, In>(site: &str, input: &In, obs: &mut RunObs, f: F) -> T
 where
     T: Serialize + Deserialize,

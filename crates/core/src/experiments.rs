@@ -299,23 +299,28 @@ pub fn oracle_study(ctx: &Context) -> Vec<(Mix, OracleOutcome)> {
             (key, m.benchmarks.clone())
         })
         .collect();
-    let outcomes = crate::pool::scatter_map_cached("oracle", items, |_, benches| {
-        oracle_schedules(&ctx.refs, &benches, N_BIG)
-    });
+    let outcomes = crate::pool::scatter(
+        "oracle",
+        items,
+        &mut RunObs::disabled(),
+        crate::pool::default_jobs(),
+        |_, benches, _| oracle_schedules(&ctx.refs, &benches, N_BIG),
+    );
     mixes
         .into_iter()
         .zip(outcomes)
-        .filter_map(|(m, o)| {
-            if o.is_none() {
-                // The pool has already recorded the panic (take_failures);
-                // name the dropped mix so a shrunken study is explainable.
+        .filter_map(|(m, o)| match o {
+            Ok(o) => Some((m, o)),
+            Err(_) => {
+                // The pool has already warned with the panic; name the
+                // dropped mix so a shrunken study is explainable.
                 relsim_obs::warn!(
                     "oracle study: dropping mix {:?} {:?} (job panicked)",
                     m.category,
                     m.benchmarks
                 );
+                None
             }
-            o.map(|o| (m, o))
         })
         .collect()
 }
@@ -432,10 +437,7 @@ fn cell_key(
     sched: SchedKind,
     params: &SamplingParams,
 ) -> Option<Key> {
-    if !relsim_cache::enabled() {
-        return None;
-    }
-    Some(crate::cache::key(
+    crate::cache::key_if_enabled(
         "mix-cell/v1",
         &(
             fingerprint,
@@ -449,7 +451,7 @@ fn cell_key(
                 crate::skip::default_enabled(),
             ),
         ),
-    ))
+    )
 }
 
 /// Run a workload set on one system configuration under all three
@@ -463,8 +465,8 @@ fn cell_key(
 /// reported through the pool's failure channel.
 ///
 /// When the process-wide result cache is enabled, each cell is
-/// content-addressed ([`cell_key`]) and served through
-/// [`crate::pool::scatter_map_cached_into`]: previously computed cells
+/// content-addressed (`cell_key`) and served through
+/// [`crate::pool::scatter`]: previously computed cells
 /// replay their stored results, events, and metrics instead of
 /// re-simulating.
 pub fn compare_schedulers(
@@ -482,10 +484,10 @@ pub fn compare_schedulers(
             (key, (mi, s))
         })
         .collect();
-    let runs =
-        crate::pool::scatter_map_cached_into("compare", grid, obs, |_, (mi, sched), job_obs| {
-            run_mix_cell(ctx, sys_cfg, &mixes[mi], sched, params, job_obs)
-        });
+    let jobs = crate::pool::default_jobs();
+    let runs = crate::pool::scatter("compare", grid, obs, jobs, |_, (mi, sched), job_obs| {
+        run_mix_cell(ctx, sys_cfg, &mixes[mi], sched, params, job_obs)
+    });
     let mut out = Vec::with_capacity(mixes.len());
     for (mi, mix) in mixes.iter().enumerate() {
         let mut sser = [0.0; 3];
@@ -498,12 +500,12 @@ pub fn compare_schedulers(
         for sched in SchedKind::ALL {
             let i = sched_index(sched);
             match &runs[mi * SchedKind::ALL.len() + i] {
-                Some(cell) => {
+                Ok(cell) => {
                     sser[i] = cell.sser;
                     stp[i] = cell.stp;
                     power[i] = cell.power;
                 }
-                None => complete = false,
+                Err(_) => complete = false,
             }
         }
         if complete {
@@ -919,7 +921,7 @@ fn dmr_pair_stp(result: &RunResult, refs: &ReferenceTable) -> f64 {
 /// * `off` / `checkpoint` — the mix under the reliability-optimized
 ///   sampling scheduler; checkpoint mode additionally pays capture and
 ///   rollback re-execution ticks;
-/// * `dmr` — [`dmr_pairing`] under a pinned static schedule;
+/// * `dmr` — `dmr_pairing` under a pinned static schedule;
 /// * `backup` — the mix under [`BackupScheduler`], which keeps
 ///   fault-prone work where the plan's per-quantum `k`-fault budget can
 ///   cover it.
@@ -1014,10 +1016,7 @@ fn mode_cell_key(
     mix: &Mix,
     plan: &ReliabilityPlan,
 ) -> Option<Key> {
-    if !relsim_cache::enabled() {
-        return None;
-    }
-    Some(crate::cache::key(
+    crate::cache::key_if_enabled(
         "mode-cell/v1",
         &(
             fingerprint,
@@ -1030,7 +1029,7 @@ fn mode_cell_key(
                 crate::skip::default_enabled(),
             ),
         ),
-    ))
+    )
 }
 
 /// Figure 13: the reliability-mode Pareto study on 2B2S — every
@@ -1070,7 +1069,7 @@ pub fn fig13_plans(
 }
 
 /// [`fig13_modes`] over an explicit plan list. Cells are sharded across
-/// the job pool and content-addressed ([`mode_cell_key`]); a failed cell
+/// the job pool and content-addressed (`mode_cell_key`); a failed cell
 /// is dropped with a warning.
 pub fn fig13_modes_with(
     ctx: &Context,
@@ -1090,23 +1089,23 @@ pub fn fig13_modes_with(
             (key, (mi, p))
         })
         .collect();
-    let cells =
-        crate::pool::scatter_map_cached_into("fig13", grid, obs, |_, (mi, plan), job_obs| {
-            run_mode_cell(ctx, &cfg, &mixes[mi], plan, job_obs)
-        });
+    let jobs = crate::pool::default_jobs();
+    let cells = crate::pool::scatter("fig13", grid, obs, jobs, |_, (mi, plan), job_obs| {
+        run_mode_cell(ctx, &cfg, &mixes[mi], plan, job_obs)
+    });
     cells
         .into_iter()
-        .enumerate()
-        .filter_map(|(gi, c)| {
-            if c.is_none() {
-                let mix = &mixes[gi / plans.len()];
+        .filter_map(|c| match c {
+            Ok(cell) => Some(cell),
+            Err(failure) => {
+                let gi = failure.index;
                 relsim_obs::warn!(
                     "fig13: dropping {} × mix {:?} (run failed)",
                     plans[gi % plans.len()].mode.name(),
-                    mix.benchmarks
+                    mixes[gi / plans.len()].benchmarks
                 );
+                None
             }
-            c
         })
         .collect()
 }
@@ -1237,7 +1236,7 @@ pub fn sampling_accuracy_study(
     // cache entries) with Figure 6's grid.
     let fingerprint = refs_fingerprint(ctx);
     let run_grid =
-        |sampling: Option<crate::SamplingConfig>, obs: &mut RunObs| -> Vec<Option<MixCell>> {
+        |sampling: Option<crate::SamplingConfig>, obs: &mut RunObs| -> Vec<Result<MixCell, _>> {
             crate::sampling::set_default(sampling);
             let items: Vec<(Option<Key>, (usize, SchedKind))> = grid
                 .iter()
@@ -1253,10 +1252,11 @@ pub fn sampling_accuracy_study(
                     (key, (mi, s))
                 })
                 .collect();
-            crate::pool::scatter_map_cached_into(
+            crate::pool::scatter(
                 "sampling-accuracy",
                 items,
                 obs,
+                crate::pool::default_jobs(),
                 |_, (mi, sched), job_obs| {
                     run_mix_cell(
                         ctx,
@@ -1278,7 +1278,7 @@ pub fn sampling_accuracy_study(
         let mut detailed = 0u64;
         let mut total = 0u64;
         for (gi, (mi, sched)) in grid.iter().enumerate() {
-            if let (Some(f), Some(s)) = (&full[gi], &sampled[gi]) {
+            if let (Ok(f), Ok(s)) = (&full[gi], &sampled[gi]) {
                 cells.push(SamplingAccuracyCell {
                     workload: format!(
                         "{}:{}",

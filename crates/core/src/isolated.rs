@@ -158,17 +158,21 @@ impl ReferenceTable {
             .iter()
             .flat_map(|p| [(p.name.clone(), big.kind), (p.name.clone(), small.kind)])
             .collect();
-        let results = crate::pool::scatter_map_cached("isolated", grid, |_, (p, cfg)| {
-            run_isolated(p, cfg, duration, SEED)
-        });
+        let results = crate::pool::scatter(
+            "isolated",
+            grid,
+            &mut relsim_obs::RunObs::disabled(),
+            crate::pool::default_jobs(),
+            |_, (p, cfg), _| run_isolated(p, cfg, duration, SEED),
+        );
         let mut entries = HashMap::new();
         let mut failed: Vec<String> = Vec::new();
         for (slot, (name, kind)) in results.into_iter().zip(names) {
             match slot {
-                Some(r) => {
+                Ok(r) => {
                     entries.insert((r.name.clone(), r.kind), r);
                 }
-                None => failed.push(format!("({name}, {kind})")),
+                Err(_) => failed.push(format!("({name}, {kind})")),
             }
         }
         assert!(

@@ -13,10 +13,15 @@
 //!   serial run would have emitted them, counters add, and gauges take
 //!   the last (grid-order) value. `-j8` output is therefore
 //!   byte-identical to `-j1`;
-//! * a panicking job is caught ([`std::panic::catch_unwind`]), logged as
-//!   a structured [`Event::JobFailed`] at its grid position, and recorded
-//!   for end-of-run reporting via [`take_failures`] — the other workers
-//!   keep going.
+//! * a panicking job is caught ([`std::panic::catch_unwind`]) and its
+//!   slot comes back as `Err(`[`JobFailure`]`)`; the failure is also
+//!   logged as a structured [`Event::JobFailed`] at its grid position and
+//!   recorded for end-of-run reporting via [`take_failures`] — the other
+//!   workers keep going.
+//!
+//! [`scatter`] is the entry point: it takes an optional result-cache
+//! [`Key`] per item and an explicit worker count. [`scatter_map`] is the
+//! keyless form without an observer.
 //!
 //! Scheduling is work-stealing over per-worker deques: jobs are dealt
 //! round-robin, each worker pops from the front of its own queue and
@@ -36,9 +41,10 @@ use std::sync::Mutex;
 /// Process-wide default worker count; 0 means "ask the OS".
 static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Set the default worker count used by [`scatter_map`] /
-/// [`scatter_map_into`]. `0` restores the automatic default
-/// (available parallelism). Binaries call this once from `--jobs`.
+/// Set the worker count [`default_jobs`] reports, which [`scatter_map`]
+/// and the program's [`scatter`] callers use. `0` restores the automatic
+/// default (available parallelism). Binaries call this once from
+/// `--jobs`.
 pub fn set_default_jobs(jobs: usize) {
     DEFAULT_JOBS.store(jobs, Ordering::SeqCst);
 }
@@ -54,7 +60,8 @@ pub fn default_jobs() -> usize {
     }
 }
 
-/// One caught job panic, reported at the end of the run.
+/// One caught job panic: the failed job's slot, and an entry of the
+/// end-of-run report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// Grid index of the failed job.
@@ -87,6 +94,7 @@ pub fn take_failures() -> Vec<JobFailure> {
 /// Outcome of one job, in a `Send`-safe deconstructed form (the job's
 /// `RunObs` holds a `Box<dyn EventSink>`, which is not `Send`).
 struct Done<T> {
+    index: usize,
     result: Result<T, String>,
     events: Vec<Event>,
     obs: relsim_obs::Recorder,
@@ -130,6 +138,7 @@ fn run_one<I, T>(
         span::reset_thread();
     }
     Done {
+        index,
         result,
         events,
         obs: job_obs.recorder,
@@ -152,18 +161,17 @@ fn next_job<I>(queues: &[Mutex<VecDeque<(usize, I)>>], w: usize) -> Option<(usiz
     None
 }
 
-/// Run `f` over `items` on `jobs` workers, observing each job through its
-/// own buffered [`RunObs`] and merging everything into `obs` in item
-/// order. Returns one slot per item: `Some(output)` on success, `None`
-/// for a job that panicked (also reported via [`Event::JobFailed`], a
-/// `warn!` line, and [`take_failures`]).
-pub fn scatter_map_into_with_jobs<I, T, F>(
+/// The worker loop behind [`scatter`] and [`scatter_map`]: run `f` over
+/// `items`, each tagged with its grid index, on `jobs` workers, observing
+/// each job through its own buffered [`RunObs`] and merging everything
+/// into `obs` in list order. Returns one slot per item, in list order.
+fn scatter_plain<I, T, F>(
     label: &str,
-    items: Vec<I>,
+    items: Vec<(usize, I)>,
     obs: &mut RunObs,
     jobs: usize,
     f: F,
-) -> Vec<Option<T>>
+) -> Vec<Result<T, JobFailure>>
 where
     I: Send,
     T: Send,
@@ -184,54 +192,52 @@ where
     // Buffering events only pays off if someone will read them.
     let buffer = !obs.sink.is_null();
 
-    let queues: Vec<Mutex<VecDeque<(usize, I)>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        lock_recover(&queues[i % jobs]).push_back((i, item));
+    // Queue entries are (slot, (grid index, item)).
+    let queues: Vec<Mutex<VecDeque<_>>> = (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
+    for (slot, item) in items.into_iter().enumerate() {
+        lock_recover(&queues[slot % jobs]).push_back((slot, item));
     }
     let slots: Vec<Mutex<Option<Done<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
+    let work = |w: usize| {
+        while let Some((slot, (i, item))) = next_job(&queues, w) {
+            *lock_recover(&slots[slot]) = Some(run_one(i, item, buffer, &f));
+        }
+    };
     if jobs == 1 {
         // Inline path: same per-job observation and panic isolation,
         // no threads.
-        while let Some((i, item)) = next_job(&queues, 0) {
-            *lock_recover(&slots[i]) = Some(run_one(i, item, buffer, &f));
-        }
+        work(0);
     } else {
         std::thread::scope(|s| {
             for w in 0..jobs {
-                let queues = &queues;
-                let slots = &slots;
-                let f = &f;
-                s.spawn(move || {
-                    while let Some((i, item)) = next_job(queues, w) {
-                        *lock_recover(&slots[i]) = Some(run_one(i, item, buffer, f));
-                    }
-                });
+                let work = &work;
+                s.spawn(move || work(w));
             }
         });
     }
 
     // Barrier: merge per-job observations back in grid order.
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        let done = slot
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .expect("every job runs exactly once");
-        out.push(merge_done(label, i, done, obs));
-    }
-    out
+    slots
+        .into_iter()
+        .map(|slot| {
+            let done = slot
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every job runs exactly once");
+            merge_done(label, done, obs)
+        })
+        .collect()
 }
 
 /// Merge one finished job into the caller's observer (events in order,
-/// counters added, spans appended) and convert its outcome: `Some` on
-/// success, `None` for a panic (warned, evented, registered).
-fn merge_done<T>(label: &str, i: usize, done: Done<T>, obs: &mut RunObs) -> Option<T> {
+/// counters added, spans appended) and return its slot: `Ok` on success,
+/// `Err` for a panic (also warned, evented and registered).
+fn merge_done<T>(label: &str, done: Done<T>, obs: &mut RunObs) -> Result<T, JobFailure> {
     for e in &done.events {
         obs.sink.emit(e);
     }
     obs.recorder.merge(&done.obs);
+    let i = done.index;
     if !done.spans.is_empty() {
         // Grid order, not worker order: the trace is a deterministic
         // function of the inputs at any `-jN`.
@@ -240,150 +246,113 @@ fn merge_done<T>(label: &str, i: usize, done: Done<T>, obs: &mut RunObs) -> Opti
             records: done.spans,
         });
     }
-    match done.result {
-        Ok(t) => Some(t),
-        Err(message) => {
-            let job_label = format!("{label}[{i}]");
-            relsim_obs::warn!("job {job_label} panicked: {message}");
-            obs.emit(Event::JobFailed {
-                tick: 0,
-                job: i as u64,
-                label: job_label.clone(),
-                error: message.clone(),
-            });
-            lock_recover(&FAILURES).push(JobFailure {
-                index: i,
-                label: job_label,
-                message,
-            });
-            None
-        }
-    }
+    done.result.map_err(|message| {
+        let job_label = format!("{label}[{i}]");
+        relsim_obs::warn!("job {job_label} panicked: {message}");
+        obs.emit(Event::JobFailed {
+            tick: 0,
+            job: i as u64,
+            label: job_label.clone(),
+            error: message.clone(),
+        });
+        let failure = JobFailure {
+            index: i,
+            label: job_label,
+            message,
+        };
+        lock_recover(&FAILURES).push(failure.clone());
+        failure
+    })
 }
 
-/// [`scatter_map_into_with_jobs`] at the process default worker count.
-pub fn scatter_map_into<I, T, F>(
-    label: &str,
-    items: Vec<I>,
-    obs: &mut RunObs,
-    f: F,
-) -> Vec<Option<T>>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I, &mut RunObs) -> T + Sync,
-{
-    scatter_map_into_with_jobs(label, items, obs, default_jobs(), f)
-}
-
-/// Scatter without observability: jobs still run isolated and panics are
-/// still caught/reported, but events and counters are discarded.
-pub fn scatter_map<I, T, F>(label: &str, items: Vec<I>, f: F) -> Vec<Option<T>>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    let mut obs = RunObs::disabled();
-    scatter_map_into(label, items, &mut obs, |i, item, _| f(i, item))
-}
-
-/// [`scatter_map_into_with_jobs`] routed through the content-addressed
-/// result cache. Each item carries an optional [`Key`]; keyed items are
+/// Run `f` over `items` on `jobs` workers, observing each job through its
+/// own buffered [`RunObs`] and merging everything into `obs` in item
+/// order. Returns one slot per item: `Ok(output)` on success, or
+/// `Err(`[`JobFailure`]`)` for a job that panicked (also reported via
+/// [`Event::JobFailed`], a `warn!` line, and [`take_failures`]).
+///
+/// Each item carries an optional [`Key`] into the content-addressed
+/// result cache. With a process-wide store configured, keyed items are
 /// served via [`crate::cache::run_keyed`] (hit → replay the stored
-/// bundle, miss → compute under the single-flight lease and store),
-/// unkeyed items always compute. With the process-wide cache disabled
-/// this is exactly the plain scatter.
+/// bundle, miss → compute under the single-flight lease and store) and
+/// unkeyed items always compute; with none, every item computes.
 ///
 /// Determinism across worker counts is preserved by construction:
 /// duplicate keys *within one scatter* never race for flight leadership.
 /// Only the first occurrence of each key enters the parallel phase; the
 /// duplicates are filled in sequentially after the barrier, in grid
 /// order, from the (by then warm) cache.
-pub fn scatter_map_cached_into_with_jobs<I, T, F>(
+pub fn scatter<I, T, F>(
     label: &str,
     items: Vec<(Option<Key>, I)>,
     obs: &mut RunObs,
     jobs: usize,
     f: F,
-) -> Vec<Option<T>>
+) -> Vec<Result<T, JobFailure>>
 where
     I: Send,
     T: Send + Serialize + Deserialize,
     F: Fn(usize, I, &mut RunObs) -> T + Sync,
 {
     let Some(store) = relsim_cache::global() else {
-        let plain: Vec<I> = items.into_iter().map(|(_, item)| item).collect();
-        return scatter_map_into_with_jobs(label, plain, obs, jobs, f);
+        let plain = items.into_iter().map(|(_, item)| item).enumerate();
+        return scatter_plain(label, plain.collect(), obs, jobs, f);
     };
 
     // Partition: first occurrence of each key (and every unkeyed item)
     // runs in the parallel scatter; repeats wait for the barrier.
     let n = items.len();
     let mut seen: std::collections::HashSet<u128> = std::collections::HashSet::new();
-    let mut scatter_items: Vec<(usize, Option<Key>, I)> = Vec::new();
-    let mut dups: Vec<(usize, Key, I)> = Vec::new();
+    let mut firsts: Vec<(usize, (Option<Key>, I))> = Vec::new();
+    let mut dups: Vec<(usize, (Option<Key>, I))> = Vec::new();
     for (i, (key, item)) in items.into_iter().enumerate() {
         match key {
-            Some(k) if !seen.insert(k.0) => dups.push((i, k, item)),
-            key => scatter_items.push((i, key, item)),
+            Some(k) if !seen.insert(k.0) => dups.push((i, (key, item))),
+            key => firsts.push((i, (key, item))),
         }
     }
 
-    let runner =
-        |_: usize, (orig, key, item): (usize, Option<Key>, I), job_obs: &mut RunObs| match key {
-            Some(k) => crate::cache::run_keyed(&store, k, job_obs, |inner| f(orig, item, inner)),
-            None => f(orig, item, job_obs),
-        };
+    let runner = |i: usize, (key, item): (Option<Key>, I), job_obs: &mut RunObs| match key {
+        Some(k) => crate::cache::run_keyed(&store, k, job_obs, |inner| f(i, item, inner)),
+        None => f(i, item, job_obs),
+    };
 
-    let origs: Vec<usize> = scatter_items.iter().map(|(orig, _, _)| *orig).collect();
-    let partial = scatter_map_into_with_jobs(label, scatter_items, obs, jobs, runner);
-
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (orig, result) in origs.into_iter().zip(partial) {
-        out[orig] = result;
+    let origs: Vec<usize> = firsts.iter().map(|(i, _)| *i).collect();
+    let mut out: Vec<Option<Result<T, JobFailure>>> = (0..n).map(|_| None).collect();
+    let slots = scatter_plain(label, firsts, obs, jobs, runner);
+    for (i, slot) in origs.into_iter().zip(slots) {
+        out[i] = Some(slot);
     }
     // Fill the duplicates in grid order: each is a memory-tier hit on
     // its primary's entry (or an inline recompute if the primary failed
     // or its bundle was unstorable) — sequential, hence deterministic.
     let buffer = !obs.sink.is_null();
-    for (orig, k, item) in dups {
-        let done = run_one(orig, (orig, Some(k), item), buffer, &runner);
-        out[orig] = merge_done(label, orig, done, obs);
+    for (i, item) in dups {
+        out[i] = Some(merge_done(label, run_one(i, item, buffer, &runner), obs));
     }
-    out
+    out.into_iter()
+        .map(|slot| slot.expect("every item runs exactly once"))
+        .collect()
 }
 
-/// [`scatter_map_cached_into_with_jobs`] at the process default worker
-/// count.
-pub fn scatter_map_cached_into<I, T, F>(
-    label: &str,
-    items: Vec<(Option<Key>, I)>,
-    obs: &mut RunObs,
-    f: F,
-) -> Vec<Option<T>>
+/// Scatter for callers without cache keys or an observer, such as the
+/// benchmark harness: [`scatter`]'s worker loop at [`default_jobs`], with
+/// events and counters discarded. Panics are still caught and reported;
+/// a failed slot is `None`.
+pub fn scatter_map<I, T, F>(label: &str, items: Vec<I>, f: F) -> Vec<Option<T>>
 where
     I: Send,
-    T: Send + Serialize + Deserialize,
-    F: Fn(usize, I, &mut RunObs) -> T + Sync,
-{
-    scatter_map_cached_into_with_jobs(label, items, obs, default_jobs(), f)
-}
-
-/// Cached scatter without caller-side observability (cache markers and
-/// replayed events are discarded; panics still caught/reported).
-pub fn scatter_map_cached<I, T, F>(
-    label: &str,
-    items: Vec<(Option<Key>, I)>,
-    f: F,
-) -> Vec<Option<T>>
-where
-    I: Send,
-    T: Send + Serialize + Deserialize,
+    T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
+    let items = items.into_iter().enumerate().collect();
     let mut obs = RunObs::disabled();
-    scatter_map_cached_into(label, items, &mut obs, |i, item, _| f(i, item))
+    scatter_plain(label, items, &mut obs, default_jobs(), |i, item, _| {
+        f(i, item)
+    })
+    .into_iter()
+    .map(Result::ok)
+    .collect()
 }
 
 #[cfg(test)]
@@ -391,10 +360,14 @@ mod tests {
     use super::*;
     use relsim_obs::{EventSink, JsonlSink};
 
-    fn square_grid(jobs: usize) -> Vec<Option<u64>> {
-        let items: Vec<u64> = (0..37).collect();
+    /// A grid with no cache keys, as [`scatter`] takes it.
+    fn keyless<I>(items: impl IntoIterator<Item = I>) -> Vec<(Option<Key>, I)> {
+        items.into_iter().map(|item| (None, item)).collect()
+    }
+
+    fn square_grid(jobs: usize) -> Vec<Result<u64, JobFailure>> {
         let mut obs = RunObs::disabled();
-        scatter_map_into_with_jobs("square", items, &mut obs, jobs, |_, x, _| x * x)
+        scatter("square", keyless(0..37u64), &mut obs, jobs, |_, x, _| x * x)
     }
 
     #[test]
@@ -403,7 +376,7 @@ mod tests {
             let out = square_grid(jobs);
             assert_eq!(out.len(), 37, "-j{jobs}");
             for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, Some((i as u64).pow(2)), "-j{jobs} slot {i}");
+                assert_eq!(*v, Ok((i as u64).pow(2)), "-j{jobs} slot {i}");
             }
         }
     }
@@ -412,25 +385,20 @@ mod tests {
     fn imbalanced_jobs_are_stolen_and_still_ordered() {
         // Front-load the grid: early items do far more work than late
         // ones, so with round-robin dealing the other workers must steal.
-        let items: Vec<u64> = (0..24).collect();
-        let out = scatter_map_into_with_jobs(
+        let work = |x: u64| {
+            let spins = if x < 4 { 200_000 } else { 10 };
+            (0..spins).fold(x, |a, _| a.wrapping_mul(31).wrapping_add(7))
+        };
+        let out = scatter(
             "imbalanced",
-            items,
+            keyless(0..24u64),
             &mut RunObs::disabled(),
             4,
-            |_, x, _| {
-                let spins = if x < 4 { 200_000 } else { 10 };
-                (0..spins).fold(x, |a, _| a.wrapping_mul(31).wrapping_add(7))
-            },
+            |_, x, _| work(x),
         );
-        let serial: Vec<u64> = (0..24u64)
-            .map(|x| {
-                let spins = if x < 4 { 200_000 } else { 10 };
-                (0..spins).fold(x, |a, _| a.wrapping_mul(31).wrapping_add(7))
-            })
-            .collect();
+        let serial: Vec<u64> = (0..24u64).map(work).collect();
         assert_eq!(
-            out.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
+            out.into_iter().map(Result::unwrap).collect::<Vec<_>>(),
             serial
         );
     }
@@ -438,9 +406,8 @@ mod tests {
     #[test]
     fn panicking_job_is_isolated_and_reported() {
         let _ = take_failures(); // drain other tests' leftovers
-        let items: Vec<u32> = (0..8).collect();
         let mut obs = RunObs::buffered();
-        let out = scatter_map_into_with_jobs("faulty", items, &mut obs, 4, |_, x, _| {
+        let out = scatter("faulty", keyless(0..8u32), &mut obs, 4, |_, x, _| {
             if x == 3 {
                 panic!("job {x} exploded");
             }
@@ -449,12 +416,15 @@ mod tests {
         assert_eq!(out.len(), 8);
         for (i, v) in out.iter().enumerate() {
             if i == 3 {
-                assert_eq!(*v, None);
+                // The failure comes back in its own slot...
+                let failure = v.as_ref().unwrap_err();
+                assert_eq!((failure.index, failure.label.as_str()), (3, "faulty[3]"));
+                assert!(failure.message.contains("job 3 exploded"), "{failure:?}");
             } else {
-                assert_eq!(*v, Some(i as u32 + 1));
+                assert_eq!(*v, Ok(i as u32 + 1));
             }
         }
-        // The failure is visible as a structured event...
+        // ...as a structured event...
         let events = obs.sink.take_events().unwrap();
         let failed: Vec<&Event> = events
             .iter()
@@ -474,16 +444,14 @@ mod tests {
             .into_iter()
             .filter(|f| f.label.starts_with("faulty["))
             .collect();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].index, 3);
+        assert_eq!(failures, vec![out[3].clone().unwrap_err()]);
     }
 
     #[test]
     fn merged_observations_are_independent_of_job_count() {
         let run = |jobs: usize| {
             let mut obs = RunObs::with_sink(Box::new(JsonlSink::new(Vec::new())));
-            let items: Vec<u64> = (0..12).collect();
-            let out = scatter_map_into_with_jobs("det", items, &mut obs, jobs, |i, x, job_obs| {
+            let out = scatter("det", keyless(0..12u64), &mut obs, jobs, |i, x, job_obs| {
                 job_obs.emit(Event::RunStart {
                     tick: x,
                     scheduler: format!("job-{i}"),
@@ -519,17 +487,11 @@ mod tests {
         let items: Vec<(Option<Key>, u64)> = (0..12u64)
             .map(|x| (Some(relsim_cache::Key::of(&("dedup", x % 4))), x % 4))
             .collect();
-        let out = scatter_map_cached_into_with_jobs(
-            "cdedup",
-            items,
-            &mut RunObs::disabled(),
-            4,
-            |_, x, _| {
-                computed.fetch_add(1, Ordering::SeqCst);
-                x * 10
-            },
-        );
-        let expect: Vec<Option<u64>> = (0..12u64).map(|x| Some((x % 4) * 10)).collect();
+        let out = scatter("cdedup", items, &mut RunObs::disabled(), 4, |_, x, _| {
+            computed.fetch_add(1, Ordering::SeqCst);
+            x * 10
+        });
+        let expect: Vec<Result<u64, JobFailure>> = (0..12u64).map(|x| Ok((x % 4) * 10)).collect();
         assert_eq!(out, expect);
         assert_eq!(
             computed.load(Ordering::SeqCst),
@@ -538,6 +500,30 @@ mod tests {
         );
         let stats = relsim_cache::global_stats().unwrap();
         assert_eq!((stats.misses, stats.hits), (4, 8));
+        relsim_cache::configure(None);
+    }
+
+    #[test]
+    fn cached_failure_names_its_grid_index_past_duplicates() {
+        // Only first occurrences enter the parallel phase, so the failing
+        // item is the parallel phase's second job but the grid's fourth.
+        let _guard = crate::cache::test_guard();
+        relsim_cache::configure(Some(relsim_cache::CacheConfig::default()));
+        let _ = take_failures();
+        let key = |x: u64| Some(relsim_cache::Key::of(&("cfail", x)));
+        let items = vec![(key(0), 0), (key(0), 0), (None, 1), (key(2), 2)];
+        let out = scatter("cfail", items, &mut RunObs::disabled(), 2, |_, x, _| {
+            assert!(x != 2, "item two is broken");
+            x
+        });
+        assert_eq!(out[..3], [Ok(0), Ok(0), Ok(1)]);
+        let failure = out[3].clone().unwrap_err();
+        assert_eq!((failure.index, failure.label.as_str()), (3, "cfail[3]"));
+        let registered: Vec<JobFailure> = take_failures()
+            .into_iter()
+            .filter(|f| f.label.starts_with("cfail["))
+            .collect();
+        assert_eq!(registered, vec![failure]);
         relsim_cache::configure(None);
     }
 
@@ -551,7 +537,7 @@ mod tests {
             let items: Vec<(Option<Key>, u64)> = (0..10u64)
                 .map(|x| (Some(relsim_cache::Key::of(&("cbytes", x % 3))), x % 3))
                 .collect();
-            scatter_map_cached_into_with_jobs("cbytes", items, &mut obs, jobs, |_, x, job_obs| {
+            scatter("cbytes", items, &mut obs, jobs, |_, x, job_obs| {
                 job_obs.emit(Event::Migration {
                     tick: x,
                     app: x as usize,
@@ -582,14 +568,8 @@ mod tests {
         let items: Vec<(Option<Key>, u64)> = (0..8u64)
             .map(|x| (Some(relsim_cache::Key::of(&x)), x))
             .collect();
-        let out = scatter_map_cached_into_with_jobs(
-            "coff",
-            items,
-            &mut RunObs::disabled(),
-            2,
-            |_, x, _| x + 1,
-        );
-        assert_eq!(out, (0..8u64).map(|x| Some(x + 1)).collect::<Vec<_>>());
+        let out = scatter("coff", items, &mut RunObs::disabled(), 2, |_, x, _| x + 1);
+        assert_eq!(out, (0..8u64).map(|x| Ok(x + 1)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -598,15 +578,21 @@ mod tests {
         // JSONL bytes: the bytes must not depend on the worker count.
         let replay = |jobs: usize| -> Vec<u8> {
             let mut obs = RunObs::buffered();
-            let items: Vec<u64> = (0..10).collect();
-            scatter_map_into_with_jobs("bytes", items, &mut obs, jobs, |i, x, job_obs| {
-                job_obs.emit(Event::Migration {
-                    tick: x,
-                    app: i,
-                    from_core: Some(0),
-                    to_core: 1,
-                });
-            });
+            scatter(
+                "bytes",
+                keyless(0..10u64),
+                &mut obs,
+                jobs,
+                |i, x, job_obs| {
+                    job_obs.emit(Event::Migration {
+                        tick: x,
+                        app: i,
+                        from_core: Some(0),
+                        to_core: 1,
+                    });
+                    x
+                },
+            );
             let mut out = JsonlSink::new(Vec::new());
             for e in obs.sink.take_events().unwrap() {
                 out.emit(&e);

@@ -990,7 +990,7 @@ impl OooCore {
     /// `template`-proportioned CPI stack (normally the stack delta observed
     /// over the preceding detailed interval, preserving
     /// `cpi_stack().total() == cycles()` exactly), shift in-flight pipeline
-    /// state past the window via [`Self::shift_time`], and functionally
+    /// state past the window via `Self::shift_time`, and functionally
     /// execute `instructions` instructions from `src` — warming the caches
     /// and advancing the trace position.
     pub fn fast_forward(

@@ -11,11 +11,11 @@
 //! 3. **admission**: the request enters a bounded queue, or is shed
 //!    with `429` when the queue is full, or `503` when the server is
 //!    draining;
-//! 4. an exec worker runs the job through
-//!    [`relsim::pool::scatter_map_cached_into_with_jobs`] — the same
-//!    machinery as the batch grid, giving `catch_unwind` panic
+//! 4. an exec worker runs the job through [`relsim::pool::scatter`] —
+//!    the same machinery as the batch grid, giving `catch_unwind` panic
 //!    isolation and single-flight caching of concurrent duplicates —
-//!    and writes the artifact bytes back on the client's socket.
+//!    and writes the artifact bytes back on the client's socket (or a
+//!    `500` naming the job's own panic).
 //!
 //! Graceful shutdown flips a draining flag (under the queue lock, so
 //! no job can slip in after the workers' final empty-queue check),
@@ -460,15 +460,15 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     // jobs=1: the request IS the unit of parallelism (many clients,
     // many workers); the scatter is used for its catch_unwind isolation
     // and its single-flight cached execution, not for fan-out.
-    let mut results = relsim::pool::scatter_map_cached_into_with_jobs(
+    let mut results = relsim::pool::scatter(
         "serve-run",
         vec![(job.key, req)],
         &mut obs,
         1,
         |_, r, job_obs| engine.run(&r, job_obs),
     );
-    let reply = match results.pop().flatten() {
-        Some(artifact) => {
+    let reply = match results.pop().expect("one slot per item") {
+        Ok(artifact) => {
             let snap = obs.recorder.snapshot();
             let computed = job.key.is_none() || snap.counter("cache.misses").unwrap_or(0) > 0;
             if computed {
@@ -482,16 +482,13 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
             let cache = if computed { "miss" } else { "hit" };
             (Status::Ok, Some(cache), artifact_bytes(&artifact))
         }
-        None => {
-            // The panic is in the pool's failure registry; drain it so
-            // a long-lived daemon's registry cannot grow without bound
-            // (and so the owning binary's obs_finish does not treat an
-            // answered 500 as a fatal batch failure).
-            let failures = relsim::pool::take_failures();
-            let msg = failures
-                .last()
-                .map(|f| f.message.clone())
-                .unwrap_or_else(|| "job panicked".to_string());
+        Err(failure) => {
+            // The failure is also in the pool's failure registry; drain
+            // it so a long-lived daemon's registry cannot grow without
+            // bound (and so the owning binary's obs_finish does not treat
+            // an answered 500 as a fatal batch failure).
+            let _ = relsim::pool::take_failures();
+            let msg = failure.message;
             relsim_obs::warn!("serve: job failed: {msg}");
             shared.bump("serve.failures");
             (
@@ -578,8 +575,8 @@ mod tests {
         fn run(&self, req: &SimRequest, _obs: &mut RunObs) -> SimArtifact {
             let _ = self.started.send(());
             let _ = lock_recover(&self.gate).recv();
-            if req.ticks == 666 {
-                panic!("scripted engine failure");
+            if (600..700).contains(&req.ticks) {
+                panic!("scripted engine failure at {} ticks", req.ticks);
             }
             SimArtifact {
                 model_version: relsim::cache::MODEL_VERSION,
@@ -716,19 +713,43 @@ mod tests {
 
     #[test]
     fn panicking_job_answers_500_and_daemon_survives() {
-        let (engine, release, _started) = GatedEngine::new();
-        let server = Server::start(engine, cfg(8)).unwrap();
+        let (engine, release, started) = GatedEngine::new();
+        let server = Server::start(
+            engine,
+            ServerConfig {
+                exec_workers: 2,
+                ..cfg(8)
+            },
+        )
+        .unwrap();
         let addr = server.addr();
-        release.send(()).unwrap();
-        let (code, _, body) = post(addr, "/run", &request(666));
-        assert_eq!(code, 500);
-        assert!(String::from_utf8_lossy(&body).contains("scripted engine failure"));
-        // The worker survived the panic: a healthy request still runs.
+        // Two requests fail at once on the two workers, so both panics
+        // sit in the process-wide registry together: each 500 must
+        // still name its own request's panic.
+        for round in 0..20u64 {
+            let ticks = [600 + 2 * round, 601 + 2 * round];
+            let clients =
+                ticks.map(|t| std::thread::spawn(move || post(addr, "/run", &request(t))));
+            for _ in ticks {
+                started.recv_timeout(Duration::from_secs(10)).unwrap();
+            }
+            for _ in ticks {
+                release.send(()).unwrap();
+            }
+            for (t, client) in ticks.into_iter().zip(clients) {
+                let (code, _, body) = client.join().unwrap();
+                assert_eq!(code, 500, "round {round}");
+                let body = String::from_utf8_lossy(&body);
+                let own = format!("scripted engine failure at {t} ticks");
+                assert!(body.contains(&own), "round {round}: {body}");
+            }
+        }
+        // The workers survived the panics: a healthy request still runs.
         release.send(()).unwrap();
         let (code, _, _) = post(addr, "/run", &request(10));
         assert_eq!(code, 200);
         let snap = server.shutdown();
-        assert_eq!(snap.counter("serve.failures"), Some(1));
+        assert_eq!(snap.counter("serve.failures"), Some(40));
         assert!(relsim::pool::take_failures().is_empty(), "registry drained");
     }
 

@@ -79,16 +79,16 @@ fn grid_output_is_byte_identical_across_job_counts() {
     assert_eq!(log1, log4, "event log depends on -j");
 }
 
-/// A panicking job must surface as a structured `JobFailed` event and a
-/// recorded failure at its grid position, without disturbing its
-/// neighbours — at any worker count.
+/// A panicking job must come back as an `Err` in its own slot, and surface
+/// as a structured `JobFailed` event and a recorded failure at its grid
+/// position, without disturbing its neighbours — at any worker count.
 #[test]
 fn job_failure_is_isolated_and_reported_in_grid_order() {
     for jobs in [1, 4] {
         let mut obs = RunObs::buffered();
-        let out = pool::scatter_map_into_with_jobs(
+        let out = pool::scatter(
             "integration-faulty",
-            (0u64..8).collect(),
+            (0u64..8).map(|x| (None, x)).collect(),
             &mut obs,
             jobs,
             |_, x, _| {
@@ -98,9 +98,11 @@ fn job_failure_is_isolated_and_reported_in_grid_order() {
         );
         for (i, slot) in out.iter().enumerate() {
             if i == 5 {
-                assert_eq!(*slot, None, "-j{jobs}");
+                let failure = slot.as_ref().expect_err("slot 5 panicked");
+                assert_eq!(failure.index, 5, "-j{jobs}");
+                assert!(failure.message.contains("job five is broken"), "-j{jobs}");
             } else {
-                assert_eq!(*slot, Some(i as u64 * 10), "-j{jobs}");
+                assert_eq!(*slot, Ok(i as u64 * 10), "-j{jobs}");
             }
         }
         let events = obs.sink.take_events().expect("buffered sink");
@@ -113,12 +115,11 @@ fn job_failure_is_isolated_and_reported_in_grid_order() {
             matches!(failed[0], Event::JobFailed { job: 5, .. }),
             "-j{jobs}: {failed:?}"
         );
+        // The registry holds the same failure the slot returned.
         let ours: Vec<_> = pool::take_failures()
             .into_iter()
             .filter(|f| f.label.starts_with("integration-faulty"))
             .collect();
-        assert_eq!(ours.len(), 1, "-j{jobs}");
-        assert_eq!(ours[0].index, 5);
-        assert!(ours[0].message.contains("job five is broken"));
+        assert_eq!(ours, [out[5].clone().unwrap_err()], "-j{jobs}");
     }
 }

@@ -103,22 +103,22 @@ fn traced_grid(jobs: usize) -> String {
     pool::set_default_jobs(jobs);
     span::set_tracing(true);
     let mut obs = RunObs::buffered();
-    let out =
-        pool::scatter_map_into_with_jobs("span-det", mixes(), &mut obs, jobs, |_, m, job_obs| {
-            let (_eval, result) = run_mix_traced(
-                ctx,
-                &cfg,
-                &m,
-                SchedKind::RelOpt,
-                SamplingParams::default(),
-                job_obs,
-            );
-            result.duration
-        });
+    let items = mixes().into_iter().map(|m| (None, m)).collect();
+    let out = pool::scatter("span-det", items, &mut obs, jobs, |_, m, job_obs| {
+        let (_eval, result) = run_mix_traced(
+            ctx,
+            &cfg,
+            &m,
+            SchedKind::RelOpt,
+            SamplingParams::default(),
+            job_obs,
+        );
+        result.duration
+    });
     span::set_tracing(false);
     span::set_profiling(false);
     pool::set_default_jobs(0);
-    assert!(out.iter().all(Option::is_some), "a grid job failed");
+    assert!(out.iter().all(Result::is_ok), "a grid job failed");
     normalize_times(&to_chrome_json(&obs.spans))
 }
 
@@ -216,12 +216,15 @@ fn served_request_profile_reaches_the_request_recorder() {
     };
     span::set_profiling(true);
     let mut obs = RunObs::disabled();
-    let out =
-        pool::scatter_map_into_with_jobs("serve-run", vec![req], &mut obs, 1, |_, r, job_obs| {
-            relsim_serve::run_request(refs, &r, job_obs)
-        });
+    let out = pool::scatter(
+        "serve-run",
+        vec![(None, req)],
+        &mut obs,
+        1,
+        |_, r, job_obs| relsim_serve::run_request(refs, &r, job_obs),
+    );
     span::set_profiling(false);
-    assert!(out[0].is_some(), "the request's job failed");
+    assert!(out[0].is_ok(), "the request's job failed");
     let profile = relsim_obs::StageProfile::from_snapshot(&obs.recorder.snapshot())
         .expect("profiled request left no stage profile in its recorder");
     for name in ["setup", "metrics", "segment", "pool_job"] {
